@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     DegenerateBoxError,
@@ -185,15 +186,21 @@ def _category_ap(category, preds, truths) -> float:
         else:
             fp += 1
         points.append((tp / n_gt, tp / (tp + fp)))
-    # all-point interpolation: each recall step is weighted by the best
-    # precision reached at or beyond it
+    return 100.0 * _all_point_ap(points)
+
+
+def _all_point_ap(points) -> float:
+    """Area under the interpolated precision/recall curve of (recall, precision)
+    points in rank order: each recall step is weighted by the best precision
+    reached at or beyond it, a running max taken from the end."""
+    best = list(accumulate((p for _r, p in reversed(points)), max))[::-1]
     ap = 0.0
     prev_recall = 0.0
-    for i, (recall, _precision) in enumerate(points):
+    for (recall, _precision), interpolated in zip(points, best):
         if recall > prev_recall:
-            ap += (recall - prev_recall) * max(p for _r, p in points[i:])
+            ap += (recall - prev_recall) * interpolated
             prev_recall = recall
-    return 100.0 * ap
+    return ap
 
 
 def aggregate(per_task: dict) -> BenchmarkReport:

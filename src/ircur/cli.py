@@ -60,10 +60,9 @@ from .ingest import (
 )
 from .kernel_lesson import (
     KernelConfig,
-    domain_geometry,
     load_visual_scores,
-    projection_scores,
     rank_by_visual_difficulty,
+    score_visual,
     write_visual_scores,
 )
 from .pairgen import (
@@ -243,10 +242,9 @@ def _cmd_score_visual(cfg: PipelineConfig) -> None:
         kernel = KernelConfig(bandwidth=None, bandwidth_mode="median")
     else:
         kernel = KernelConfig(bandwidth=cfg.require_float("bandwidth"))
-    geometry = domain_geometry(embeddings, kernel)
-    scores = projection_scores(embeddings, kernel)
+    geometry, scores = score_visual(embeddings, kernel)
     target = out / "visual_scores.jsonl"
-    write_visual_scores(target, geometry, kernel, embeddings, scores)
+    write_visual_scores(target, geometry, embeddings, scores)
     _note(target, f"{len(scores)} scores, mmd {geometry.mmd:.6f}")
 
 

@@ -125,6 +125,15 @@ def _require_int(obj: dict, key: str, path, line_no: int) -> int:
     return value
 
 
+def _require_float(obj: dict, key: str, path, line_no: int) -> float:
+    value = _require(obj, key, path, line_no)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedLineError(path, line_no, f"field {key!r} must be a number")
+    if not math.isfinite(value):
+        raise NonFiniteValueError(f"{path}:{line_no}: non-finite {key!r}")
+    return float(value)
+
+
 def _require_vector(obj: dict, key: str, path, line_no: int) -> tuple[float, ...]:
     value = _require(obj, key, path, line_no)
     if not isinstance(value, list) or not value:
@@ -254,13 +263,6 @@ def load_loss_log(path) -> dict[str, tuple[float, float]]:
         sample_id = _require_str(obj, "id", path, line_no)
         if sample_id in log:
             raise DuplicateIdError(f"{path}:{line_no}: duplicate id {sample_id!r}")
-        values = []
-        for key in ("l", "l_prime"):
-            value = _require(obj, key, path, line_no)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise MalformedLineError(path, line_no, f"field {key!r} must be a number")
-            if not math.isfinite(float(value)):
-                raise NonFiniteValueError(f"{path}:{line_no}: non-finite {key!r}")
-            values.append(float(value))
-        log[sample_id] = (values[0], values[1])
+        log[sample_id] = (_require_float(obj, "l", path, line_no),
+                          _require_float(obj, "l_prime", path, line_no))
     return log

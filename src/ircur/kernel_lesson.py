@@ -28,7 +28,7 @@ from .errors import (
     IndistinguishableDomainsError,
     MalformedLineError,
 )
-from .ingest import INFRARED, VISIBLE, EmbeddingSet
+from .ingest import INFRARED, VISIBLE, EmbeddingSet, _read_json_lines, _require, _require_float
 
 KERNEL_KINDS = ("gaussian", "linear")
 BANDWIDTH_MODES = ("fixed", "median")
@@ -36,6 +36,10 @@ BANDWIDTH_MODES = ("fixed", "median")
 # Gram blocks are accumulated in fixed index order so results do not
 # depend on how work is scheduled.
 _BLOCK = 256
+# Differences are formed a strip of rows at a time, each strip holding at
+# most this many bytes, so they stay in cache; every distance is the same
+# float whatever the strip height.
+_STRIP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,7 @@ class DomainGeometry:
     gram_vis_vis_mean: float
     gram_cross_mean: float
     mmd: float
+    bandwidth: float | None  # resolved Gaussian bandwidth; None for the linear kernel
 
 
 @dataclass(frozen=True)
@@ -82,12 +87,23 @@ def _resolve_bandwidth(embedding_set: EmbeddingSet, cfg: KernelConfig) -> float 
     return float(cfg.bandwidth)
 
 
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and of b.
+
+    Direct differences, not the GEMM form, keep the diagonal exactly 0.
+    """
+    out = np.empty((len(a), len(b)))
+    strip = max(1, _STRIP_BYTES // (8 * b.size))
+    for i in range(0, len(a), strip):
+        out[i : i + strip] = np.sum((a[i : i + strip, None, :] - b[None, :, :]) ** 2, axis=2)
+    return out
+
+
 def _kernel_block(a: np.ndarray, b: np.ndarray, cfg: KernelConfig, bandwidth: float | None):
     if cfg.kind == "linear":
         return a @ b.T
     # direct differences keep k(x, x) exactly 1
-    sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-    return np.exp(-sq / (2.0 * bandwidth * bandwidth))
+    return np.exp(-_sq_distances(a, b) / (2.0 * bandwidth * bandwidth))
 
 
 def gaussian_kernel(x, y, cfg: KernelConfig) -> float:
@@ -110,7 +126,7 @@ def median_bandwidth(embedding_set: EmbeddingSet) -> float:
         block = vectors[i : i + _BLOCK]
         for j in range(i, len(vectors), _BLOCK):
             other = vectors[j : j + _BLOCK]
-            sq = np.sum((block[:, None, :] - other[None, :, :]) ** 2, axis=2)
+            sq = _sq_distances(block, other)
             if i == j:
                 sq = sq[np.triu_indices_from(sq, k=1)]
             else:
@@ -122,12 +138,22 @@ def median_bandwidth(embedding_set: EmbeddingSet) -> float:
     return float(np.median(np.sqrt(nonzero)))
 
 
-def _gram_mean(a: np.ndarray, b: np.ndarray, cfg: KernelConfig, bandwidth: float | None) -> float:
+def _gram_pass(a: np.ndarray, b: np.ndarray, cfg: KernelConfig, bandwidth: float | None):
+    """Mean of the a-by-b Gram matrix and the mean of each of its rows.
+
+    Both sides are tiled at _BLOCK, so memory is bounded by one kernel
+    block and one strip of differences whatever the set sizes. The total
+    adds block sums in (i, j) order and each row adds its j-block sums in
+    order, so every value is the same float as from whole-row blocks.
+    """
     total = 0.0
+    row_sums = np.zeros(len(a))
     for i in range(0, len(a), _BLOCK):
         for j in range(0, len(b), _BLOCK):
-            total += float(np.sum(_kernel_block(a[i : i + _BLOCK], b[j : j + _BLOCK], cfg, bandwidth)))
-    return total / (len(a) * len(b))
+            block = _kernel_block(a[i : i + _BLOCK], b[j : j + _BLOCK], cfg, bandwidth)
+            total += float(np.sum(block))
+            row_sums[i : i + _BLOCK] += np.sum(block, axis=1)
+    return total / (len(a) * len(b)), row_sums / len(b)
 
 
 def _domain_matrices(embedding_set: EmbeddingSet):
@@ -138,20 +164,28 @@ def _domain_matrices(embedding_set: EmbeddingSet):
     return ir, vis
 
 
-def domain_geometry(embedding_set: EmbeddingSet, cfg: KernelConfig) -> DomainGeometry:
-    """Mean-embedding geometry of the two domains: three Gram means and the MMD."""
+def _geometry_pass(embedding_set: EmbeddingSet, cfg: KernelConfig):
+    """One Gram pass per pair of domains: the geometry and each infrared
+    sample's mean kernel value against IR and against VIS."""
     ir, vis = _domain_matrices(embedding_set)
     bandwidth = _resolve_bandwidth(embedding_set, cfg)
-    kii = _gram_mean(ir, ir, cfg, bandwidth)
-    kvv = _gram_mean(vis, vis, cfg, bandwidth)
-    kiv = _gram_mean(ir, vis, cfg, bandwidth)
+    kii, row_ir = _gram_pass(ir, ir, cfg, bandwidth)
+    kiv, row_vis = _gram_pass(ir, vis, cfg, bandwidth)
+    kvv, _ = _gram_pass(vis, vis, cfg, bandwidth)
     mmd = math.sqrt(max(0.0, kii + kvv - 2.0 * kiv))
-    return DomainGeometry(kii, kvv, kiv, mmd)
+    return DomainGeometry(kii, kvv, kiv, mmd, bandwidth), row_ir, row_vis
 
 
-def projection_scores(embedding_set: EmbeddingSet, cfg: KernelConfig) -> list[VisualScore]:
-    """Score each infrared sample by its signed offset along the domain axis.
+def domain_geometry(embedding_set: EmbeddingSet, cfg: KernelConfig) -> DomainGeometry:
+    """Mean-embedding geometry of the two domains: three Gram means and the MMD."""
+    return _geometry_pass(embedding_set, cfg)[0]
 
+
+def score_visual(embedding_set: EmbeddingSet,
+                 cfg: KernelConfig) -> tuple[DomainGeometry, list[VisualScore]]:
+    """Domain geometry and every infrared sample's score, from one pass.
+
+    The bandwidth is resolved once and each Gram block is computed once.
     For infrared sample x the offset of phi(x) - c_ir along the unit vector
     from c_ir to c_vis is
 
@@ -161,28 +195,24 @@ def projection_scores(embedding_set: EmbeddingSet, cfg: KernelConfig) -> list[Vi
     and the reported distance is d = projection + mmd. Visible samples are
     not scored.
     """
-    ir, vis = _domain_matrices(embedding_set)
-    bandwidth = _resolve_bandwidth(embedding_set, cfg)
-    geo = domain_geometry(embedding_set, cfg)
+    geo, row_ir, row_vis = _geometry_pass(embedding_set, cfg)
     if geo.mmd <= cfg.epsilon:
         raise IndistinguishableDomainsError(
             f"mmd {geo.mmd:.3e} is below epsilon {cfg.epsilon:.3e}; ranking is undefined"
         )
-    row_vis = np.zeros(len(ir))
-    row_ir = np.zeros(len(ir))
-    for j in range(0, len(vis), _BLOCK):
-        row_vis += np.sum(_kernel_block(ir, vis[j : j + _BLOCK], cfg, bandwidth), axis=1)
-    for j in range(0, len(ir), _BLOCK):
-        row_ir += np.sum(_kernel_block(ir, ir[j : j + _BLOCK], cfg, bandwidth), axis=1)
-    row_vis /= len(vis)
-    row_ir /= len(ir)
     numerator = row_vis - row_ir - geo.gram_cross_mean + geo.gram_ir_ir_mean
     ids = embedding_set.ids(INFRARED)
     scores = []
     for sample_id, value in zip(ids, numerator):
         projection = float(value) / geo.mmd
         scores.append(VisualScore(sample_id, projection, projection + geo.mmd))
-    return scores
+    return geo, scores
+
+
+def projection_scores(embedding_set: EmbeddingSet, cfg: KernelConfig) -> list[VisualScore]:
+    """Score each infrared sample by its signed offset along the domain axis
+    (see `score_visual`)."""
+    return score_visual(embedding_set, cfg)[1]
 
 
 def rank_by_visual_difficulty(scores) -> list[str]:
@@ -192,12 +222,10 @@ def rank_by_visual_difficulty(scores) -> list[str]:
     return [s.id for s in sorted(scores, key=lambda s: (-s.d, s.id))]
 
 
-def write_visual_scores(path, geo: DomainGeometry, cfg: KernelConfig,
-                        embedding_set: EmbeddingSet, scores) -> None:
-    bandwidth = _resolve_bandwidth(embedding_set, cfg)
+def write_visual_scores(path, geo: DomainGeometry, embedding_set: EmbeddingSet, scores) -> None:
     header = {
         "mmd": geo.mmd,
-        "bandwidth": bandwidth,
+        "bandwidth": geo.bandwidth,
         "n_ir": embedding_set.count(INFRARED),
         "n_vis": embedding_set.count(VISIBLE),
     }
@@ -210,23 +238,17 @@ def write_visual_scores(path, geo: DomainGeometry, cfg: KernelConfig,
 def load_visual_scores(path):
     header = None
     scores: list[VisualScore] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if header is None:
-                if "mmd" not in obj:
-                    raise MalformedLineError(path, line_no, "first line must be the header")
-                header = obj
-                continue
-            for key in ("id", "projection", "d"):
-                if key not in obj:
-                    raise MalformedLineError(path, line_no, f"missing field {key!r}")
-            scores.append(VisualScore(obj["id"], float(obj["projection"]), float(obj["d"])))
+    for line_no, obj in _read_json_lines(path):
+        if header is None:
+            if "mmd" not in obj:
+                raise MalformedLineError(path, line_no, "first line must be the header")
+            header = obj
+            continue
+        scores.append(VisualScore(
+            _require(obj, "id", path, line_no),
+            _require_float(obj, "projection", path, line_no),
+            _require_float(obj, "d", path, line_no),
+        ))
     if header is None:
         raise MalformedLineError(path, 1, "empty scores file")
     return header, scores

@@ -34,6 +34,7 @@ from ircur.bench_eval import (
     mae,
     map_at_50,
     write_report,
+    _all_point_ap,
 )
 from ircur.errors import (
     DegenerateBoxError,
@@ -353,6 +354,32 @@ def detection_instances(draw):
     return preds, truths
 
 
+def suffix_max_ap(points):
+    """All-point AP with the best later precision searched afresh at each step."""
+    ap = 0.0
+    prev_recall = 0.0
+    for i, (recall, _precision) in enumerate(points):
+        if recall > prev_recall:
+            ap += (recall - prev_recall) * max(p for _r, p in points[i:])
+            prev_recall = recall
+    return ap
+
+
+unit_floats = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def ranked_points(draw):
+    """(recall, precision) after each prediction of a ranked hit/miss list."""
+    hits = draw(st.lists(st.booleans(), max_size=60))
+    n_gt = sum(hits) + draw(st.integers(0, 5)) or 1
+    points, tp = [], 0
+    for rank, hit in enumerate(hits, start=1):
+        tp += hit
+        points.append((tp / n_gt, tp / rank))
+    return points
+
+
 class TestMapOracle:
     @settings(max_examples=60, deadline=None)
     @given(detection_instances())
@@ -362,6 +389,11 @@ class TestMapOracle:
         canonical, all_orderings = ref_map(preds, truths)
         assert value == pytest.approx(canonical)
         assert any(math.isclose(value, v, abs_tol=1e-6) for v in all_orderings)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(ranked_points(), st.lists(st.tuples(unit_floats, unit_floats), max_size=40)))
+    def test_running_max_equals_suffix_max_definition(self, points):
+        assert _all_point_ap(points) == suffix_max_ap(points)
 
 
 ROW_FINE_TUNE = {

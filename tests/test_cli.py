@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ircur import kernel_lesson
 from ircur.cli import (
     PipelineConfig,
     UsageError,
@@ -252,6 +253,64 @@ class TestPipeline:
         assert main(["train", "--config", cfg2]) == 0
         report = json.loads((tmp_path / "weighted" / "train_report.json").read_text())
         assert len(report["loss_curve"]) == 4
+
+
+class TestScoreVisual:
+    def test_median_bandwidth_resolved_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = kernel_lesson.median_bandwidth
+
+        def counting(embedding_set):
+            calls.append(embedding_set)
+            return original(embedding_set)
+
+        monkeypatch.setattr(kernel_lesson, "median_bandwidth", counting)
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            embeddings=embeddings_file(tmp_path),
+            out=str(tmp_path / "out"),
+            bandwidth="median",
+        )
+        assert main(["score-visual", "--config", cfg]) == 0
+        assert len(calls) == 1
+        header = json.loads((tmp_path / "out" / "visual_scores.jsonl").read_text().splitlines()[0])
+        assert header["bandwidth"] == original(calls[0])
+
+
+class TestFuse:
+    def scored(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            embeddings=embeddings_file(tmp_path),
+            paired_embeddings=paired_file(tmp_path),
+            out=str(out),
+            seed=3,
+        )
+        for sub in ("score-visual", "score-alignment"):
+            assert main([sub, "--config", cfg]) == 0, sub
+        return cfg, out / "visual_scores.jsonl"
+
+    def replace_first_row(self, path, key, literal):
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1])
+        row[key] = "SENTINEL"
+        lines[1] = json.dumps(row).replace('"SENTINEL"', literal)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("key, literal", [
+        ("d", "NaN"),
+        ("d", "Infinity"),
+        ("projection", "-Infinity"),
+        ("projection", '"0.5"'),
+        ("d", "true"),
+        ("d", "null"),
+    ])
+    def test_bad_visual_score_exits_4(self, tmp_path, key, literal):
+        cfg, visual = self.scored(tmp_path)
+        self.replace_first_row(visual, key, literal)
+        assert main(["fuse", "--config", cfg]) == 4
+        assert not (tmp_path / "out" / "fused.jsonl").exists()
 
 
 class TestSchedule:

@@ -20,6 +20,7 @@ from ircur.kernel_lesson import (
     median_bandwidth,
     projection_scores,
     rank_by_visual_difficulty,
+    score_visual,
     write_visual_scores,
 )
 
@@ -267,6 +268,78 @@ class TestProjectionScores:
             assert score.d == pytest.approx(proj + mmd, abs=1e-9)
 
 
+def numpy_oracle(ir, vis, kernel):
+    """Whole Gram matrices at once, without blocks: the geometry and the
+    (projection, d) of each infrared sample."""
+    k_ii, k_vv, k_iv = kernel(ir, ir), kernel(vis, vis), kernel(ir, vis)
+    kii, kvv, kiv = k_ii.mean(), k_vv.mean(), k_iv.mean()
+    mmd = math.sqrt(max(0.0, kii + kvv - 2.0 * kiv))
+    projection = (k_iv.mean(axis=1) - k_ii.mean(axis=1) - kiv + kii) / mmd
+    return (kii, kvv, kiv, mmd), projection
+
+
+def numpy_sq_distances(a, b):
+    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+
+
+def numpy_median_bandwidth(ir, vis):
+    points = np.concatenate([ir, vis])
+    sq = numpy_sq_distances(points, points)[np.triu_indices(len(points), k=1)]
+    return float(np.median(np.sqrt(sq[sq > 0.0])))
+
+
+def linear_gram(a, b):
+    return np.sum(a[:, None, :] * b[None, :, :], axis=2)
+
+
+def gaussian_gram(bandwidth):
+    return lambda a, b: np.exp(-numpy_sq_distances(a, b) / (2.0 * bandwidth * bandwidth))
+
+
+class TestMultiBlock:
+    """Both domains above the block size, neither a multiple of it, so every
+    pass crosses block edges in both directions."""
+
+    N_IR, N_VIS, DIM = 300, 270, 5
+
+    def sets(self):
+        rng = np.random.default_rng(41)
+        ir = rng.normal(size=(self.N_IR, self.DIM))
+        vis = rng.normal(loc=0.6, size=(self.N_VIS, self.DIM))
+        return ir, vis, make_set(ir.tolist(), vis.tolist())
+
+    @pytest.mark.parametrize("mode", ["fixed", "median", "linear"])
+    def test_matches_unblocked_numpy(self, mode):
+        ir, vis, es = self.sets()
+        if mode == "linear":
+            cfg, bandwidth, kernel = KernelConfig(kind="linear"), None, linear_gram
+        elif mode == "fixed":
+            cfg, bandwidth = KernelConfig(bandwidth=1.7), 1.7
+            kernel = gaussian_gram(bandwidth)
+        else:
+            cfg = KernelConfig(bandwidth=None, bandwidth_mode="median")
+            bandwidth = numpy_median_bandwidth(ir, vis)
+            kernel = gaussian_gram(bandwidth)
+        expected_geo, expected_projection = numpy_oracle(ir, vis, kernel)
+
+        geo = domain_geometry(es, cfg)
+        scores = projection_scores(es, cfg)
+        one_pass_geo, one_pass_scores = score_visual(es, cfg)
+
+        assert one_pass_geo == geo
+        assert one_pass_scores == scores
+        if bandwidth is None:
+            assert geo.bandwidth is None
+        else:
+            assert geo.bandwidth == pytest.approx(bandwidth, abs=1e-10)
+        got = (geo.gram_ir_ir_mean, geo.gram_vis_vis_mean, geo.gram_cross_mean, geo.mmd)
+        assert got == pytest.approx(expected_geo, abs=1e-10)
+        assert len(scores) == self.N_IR
+        for score, projection in zip(scores, expected_projection):
+            assert score.projection == pytest.approx(projection, abs=1e-10)
+            assert score.d == pytest.approx(projection + expected_geo[3], abs=1e-10)
+
+
 class TestRanking:
     def test_descending_d(self):
         scores = [VisualScore("a", 1.0, 4.0), VisualScore("b", -1.0, 2.0)]
@@ -291,7 +364,7 @@ class TestScoresIo:
         geo = domain_geometry(es, cfg)
         scores = projection_scores(es, cfg)
         path = tmp_path / "scores.jsonl"
-        write_visual_scores(path, geo, cfg, es, scores)
+        write_visual_scores(path, geo, es, scores)
         header, loaded = load_visual_scores(path)
         assert header["mmd"] == pytest.approx(geo.mmd, abs=0)
         assert header["n_ir"] == 2
@@ -304,7 +377,7 @@ class TestScoresIo:
         geo = domain_geometry(es, cfg)
         scores = projection_scores(es, cfg)
         path = tmp_path / "scores.jsonl"
-        write_visual_scores(path, geo, cfg, es, scores)
+        write_visual_scores(path, geo, es, scores)
         header, _ = load_visual_scores(path)
         assert header["bandwidth"] == 1.5
 
@@ -315,6 +388,6 @@ class TestScoresIo:
         geo = domain_geometry(es, cfg)
         scores = projection_scores(es, cfg)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_visual_scores(p1, geo, cfg, es, scores)
-        write_visual_scores(p2, geo, cfg, es, scores)
+        write_visual_scores(p1, geo, es, scores)
+        write_visual_scores(p2, geo, es, scores)
         assert p1.read_bytes() == p2.read_bytes()

@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ircur.errors import (
@@ -429,8 +429,11 @@ def annotations(draw):
 class TestGeneratedInvariants:
     @settings(max_examples=50, deadline=None)
     @given(annotations(), st.integers(min_value=0, max_value=2**32))
+    @example(ann([obj(c, 10 * i, 0, 5, 5) for i, c in enumerate(CATEGORY_POOL)]), 0)
     def test_all_tasks_valid_and_deterministic(self, record_ann, seed):
-        vocabulary = set(CATEGORY_POOL) | {"boat", "van"}
+        # an image can hold every pool category; three more leave the
+        # three absent categories that MCQ distractors need
+        vocabulary = set(CATEGORY_POOL) | {"boat", "van", "motorcycle"}
         present = {o.category for o in record_ann.objects}
         records = [
             generate_mcq(record_ann, "recognition", vocabulary, seed=seed),
