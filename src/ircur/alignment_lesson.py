@@ -18,7 +18,7 @@ import json
 import math
 import statistics
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,12 +28,11 @@ from .errors import (
     DivergenceError,
     DuplicateIdError,
     EmptyDomainError,
-    MalformedLineError,
     NonFiniteValueError,
     UndefinedRateError,
     ZeroNormError,
 )
-from .ingest import _read_json_lines, _require, _require_str, _require_vector
+from .ingest import _read_json_lines, _require_float, _require_str, _require_vector
 
 
 class LearningRateWarning(UserWarning):
@@ -49,9 +48,19 @@ class PairedSample:
 
 @dataclass(frozen=True)
 class PairedEmbeddingSet:
+    """Pairs in input order; both towers' vectors also as read-only float64 matrices."""
+
     dim_img: int
     dim_txt: int
     pairs: tuple[PairedSample, ...]
+    image_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    text_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, key in (("image_matrix", "image_vector"), ("text_matrix", "text_vector")):
+            matrix = np.asarray([getattr(p, key) for p in self.pairs], dtype=np.float64)
+            matrix.flags.writeable = False
+            object.__setattr__(self, name, matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +98,6 @@ def init_two_tower(dim_img: int, dim_txt: int, d_shared: int = 32,
     return TwoTowerModel(proj_img, proj_txt, float(temperature))
 
 
-def _matrices(batch: PairedEmbeddingSet):
-    img = np.asarray([p.image_vector for p in batch.pairs], dtype=np.float64)
-    txt = np.asarray([p.text_vector for p in batch.pairs], dtype=np.float64)
-    return img, txt
-
-
 def _normalize_rows(a: np.ndarray):
     norms = np.sqrt(np.sum(a * a, axis=1))
     if np.any(norms == 0.0):
@@ -102,36 +105,51 @@ def _normalize_rows(a: np.ndarray):
     return a / norms[:, None], norms
 
 
-def _log_softmax(s: np.ndarray, axis: int) -> np.ndarray:
-    shifted = s - np.max(s, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def contrastive_loss_and_grads(model: TwoTowerModel, batch: PairedEmbeddingSet):
+def contrastive_loss_and_grads(model: TwoTowerModel, batch: PairedEmbeddingSet, grads: bool = True):
     """Symmetric InfoNCE over the batch with analytic gradients.
 
     Returns (total_loss, per_sample_losses, grad_proj_img, grad_proj_txt)
     where total_loss is the mean of the per-sample losses and each
     per-sample loss averages the image-to-text and text-to-image
-    cross-entropy terms with the diagonal as the positive.
+    cross-entropy terms with the diagonal as the positive. With
+    grads=False the two gradients are None and the backward half is
+    skipped.
+
+    Both log-softmaxes and the similarity gradient work in place in three
+    n x n buffers, doing the same floating-point operations in the same
+    order as the textbook form, so every result is bit for bit the same.
     """
     n = len(batch.pairs)
     if n < 2:
         raise BatchTooSmallError("contrastive loss needs at least 2 pairs")
-    x_img, x_txt = _matrices(batch)
+    x_img, x_txt = batch.image_matrix, batch.text_matrix
     a = x_img @ model.proj_img
     b = x_txt @ model.proj_txt
     u, norm_a = _normalize_rows(a)
     v, norm_b = _normalize_rows(b)
-    s = (u @ v.T) / model.temperature
+    s = u @ v.T
+    s /= model.temperature
+    # row log-softmax into its own buffer; then s itself becomes the column one
+    row_ls = s - np.max(s, axis=1, keepdims=True)
+    expd = np.exp(row_ls)
+    row_ls -= np.log(np.sum(expd, axis=1, keepdims=True))
+    s -= np.max(s, axis=0, keepdims=True)
+    np.exp(s, out=expd)
+    s -= np.log(np.sum(expd, axis=0, keepdims=True))
+    col_ls = s
     diag = np.arange(n)
-    row_ls = _log_softmax(s, axis=1)
-    col_ls = _log_softmax(s, axis=0)
     per_sample = -0.5 * (row_ls[diag, diag] + col_ls[diag, diag])
     total = float(np.mean(per_sample))
+    if not grads:
+        return total, per_sample, None, None
 
-    eye = np.eye(n)
-    ds = ((np.exp(row_ls) - eye) + (np.exp(col_ls) - eye)) / (2.0 * n)
+    # ds = ((exp(row_ls) - I) + (exp(col_ls) - I)) / 2n
+    ds = np.exp(row_ls, out=expd)
+    ds[diag, diag] -= 1.0
+    col_p = np.exp(col_ls, out=row_ls)
+    col_p[diag, diag] -= 1.0
+    ds += col_p
+    ds /= 2.0 * n
     du = (ds @ v) / model.temperature
     dv = (ds.T @ u) / model.temperature
     da = (du - np.sum(du * u, axis=1, keepdims=True) * u) / norm_a[:, None]
@@ -140,7 +158,7 @@ def contrastive_loss_and_grads(model: TwoTowerModel, batch: PairedEmbeddingSet):
 
 
 def per_sample_loss(model: TwoTowerModel, batch: PairedEmbeddingSet) -> dict[str, float]:
-    _, per_sample, _, _ = contrastive_loss_and_grads(model, batch)
+    _, per_sample, _, _ = contrastive_loss_and_grads(model, batch, grads=False)
     return {p.id: float(v) for p, v in zip(batch.pairs, per_sample)}
 
 
@@ -170,7 +188,7 @@ def warmup(model: TwoTowerModel, data: PairedEmbeddingSet, epochs: int, lr: floa
             temperature=current.temperature,
         )
     if epochs > 0:
-        final, _, _, _ = contrastive_loss_and_grads(current, data)
+        final, _, _, _ = contrastive_loss_and_grads(current, data, grads=False)
         if not math.isfinite(final):
             raise DivergenceError("warm-up loss became non-finite")
         if final > previous_loss + 1e-12 * max(1.0, abs(previous_loss)):
@@ -299,11 +317,7 @@ def load_alignment_scores(path) -> list[AlignmentScore]:
         if sample_id in seen:
             raise DuplicateIdError(f"{path}:{line_no}: duplicate id {sample_id!r}")
         seen.add(sample_id)
-        values = {}
-        for key in ("l", "l_prime", "alpha", "weight"):
-            value = _require(obj, key, path, line_no)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise MalformedLineError(path, line_no, f"field {key!r} must be a number")
-            values[key] = float(value)
+        values = {key: _require_float(obj, key, path, line_no)
+                  for key in ("l", "l_prime", "alpha", "weight")}
         scores.append(AlignmentScore(sample_id, **values))
     return scores

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import IdSetMismatchError, MalformedLineError, TierCountError
+from .ingest import _read_json_lines, _require_int, _require_str
 from .rng import SplitMix64, shuffled
 
 SCHEDULE_KINDS = (
@@ -153,21 +154,15 @@ def write_fused_ranking(path, ranking: FusedRanking) -> None:
 
 def load_fused_ranking(path) -> FusedRanking:
     entries: list[FusedEntry] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            for key in ("id", "rank_visual", "rank_alignment", "fused_key"):
-                if key not in obj:
-                    raise MalformedLineError(path, line_no, f"missing field {key!r}")
-            if obj["fused_key"] != obj["rank_visual"] + obj["rank_alignment"]:
-                raise MalformedLineError(path, line_no, "fused_key must be the rank sum")
-            entries.append(FusedEntry(obj["id"], obj["rank_visual"],
-                                      obj["rank_alignment"], obj["fused_key"]))
+    for line_no, obj in _read_json_lines(path):
+        sample_id = _require_str(obj, "id", path, line_no)
+        rank_visual, rank_alignment, fused_key = (
+            _require_int(obj, key, path, line_no)
+            for key in ("rank_visual", "rank_alignment", "fused_key")
+        )
+        if fused_key != rank_visual + rank_alignment:
+            raise MalformedLineError(path, line_no, "fused_key must be the rank sum")
+        entries.append(FusedEntry(sample_id, rank_visual, rank_alignment, fused_key))
     if not entries:
         raise MalformedLineError(path, 1, "empty fused ranking")
     if len({e.id for e in entries}) != len(entries):

@@ -125,6 +125,94 @@ class TestGradients:
         assert total == pytest.approx(float(np.mean(per_sample)), abs=1e-12)
 
 
+def reference_loss_and_grads(model, batch):
+    """The textbook form the in-place kernel must match bit for bit."""
+
+    def log_softmax(s, axis):
+        shifted = s - np.max(s, axis=axis, keepdims=True)
+        return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+    n = len(batch.pairs)
+    x_img = np.asarray([p.image_vector for p in batch.pairs], dtype=np.float64)
+    x_txt = np.asarray([p.text_vector for p in batch.pairs], dtype=np.float64)
+    a = x_img @ model.proj_img
+    b = x_txt @ model.proj_txt
+    norm_a = np.sqrt(np.sum(a * a, axis=1))
+    norm_b = np.sqrt(np.sum(b * b, axis=1))
+    u, v = a / norm_a[:, None], b / norm_b[:, None]
+    s = (u @ v.T) / model.temperature
+    diag = np.arange(n)
+    row_ls = log_softmax(s, axis=1)
+    col_ls = log_softmax(s, axis=0)
+    per_sample = -0.5 * (row_ls[diag, diag] + col_ls[diag, diag])
+    total = float(np.mean(per_sample))
+    eye = np.eye(n)
+    ds = ((np.exp(row_ls) - eye) + (np.exp(col_ls) - eye)) / (2.0 * n)
+    du = (ds @ v) / model.temperature
+    dv = (ds.T @ u) / model.temperature
+    da = (du - np.sum(du * u, axis=1, keepdims=True) * u) / norm_a[:, None]
+    db = (dv - np.sum(dv * v, axis=1, keepdims=True) * v) / norm_b[:, None]
+    return total, per_sample, x_img.T @ da, x_txt.T @ db
+
+
+class TestInPlaceKernel:
+    @pytest.mark.parametrize("n", [2, 3, 257])
+    @pytest.mark.parametrize("temperature", [0.07, 0.5])
+    @pytest.mark.parametrize("d_shared", [4, 300])
+    def test_bit_identical_to_reference(self, n, temperature, d_shared):
+        rng = np.random.default_rng(n * 1000 + d_shared)
+        batch = random_pairs(rng, n, 6, 5)
+        model = init_two_tower(6, 5, d_shared=d_shared, temperature=temperature, seed=n)
+        total, per_sample, g_img, g_txt = contrastive_loss_and_grads(model, batch)
+        ref_total, ref_per_sample, ref_img, ref_txt = reference_loss_and_grads(model, batch)
+        assert total == ref_total
+        assert np.array_equal(per_sample, ref_per_sample)
+        assert np.array_equal(g_img, ref_img)
+        assert np.array_equal(g_txt, ref_txt)
+        loss_only = contrastive_loss_and_grads(model, batch, grads=False)
+        assert loss_only[0] == ref_total
+        assert np.array_equal(loss_only[1], ref_per_sample)
+        assert loss_only[2] is None and loss_only[3] is None
+
+    def test_inputs_left_unchanged(self):
+        rng = np.random.default_rng(5)
+        batch = random_pairs(rng, 9, 4, 3)
+        model = init_two_tower(4, 3, d_shared=2, temperature=0.1, seed=2)
+        before = (batch.image_matrix.copy(), batch.text_matrix.copy(),
+                  model.proj_img.copy(), model.proj_txt.copy())
+        contrastive_loss_and_grads(model, batch)
+        after = (batch.image_matrix, batch.text_matrix, model.proj_img, model.proj_txt)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+class TestPairedSetMatrices:
+    def test_matrices_equal_the_tuples(self):
+        rng = np.random.default_rng(7)
+        batch = random_pairs(rng, 6, 4, 3)
+        for matrix, key in ((batch.image_matrix, "image_vector"), (batch.text_matrix, "text_vector")):
+            expected = np.asarray([getattr(p, key) for p in batch.pairs], dtype=np.float64)
+            assert matrix.dtype == np.float64
+            assert np.array_equal(matrix, expected)
+            assert not matrix.flags.writeable
+
+    def test_equality_and_hash_follow_the_pairs(self, tmp_path):
+        rng = np.random.default_rng(11)
+        batch = random_pairs(rng, 5, 3, 2)
+        path = tmp_path / "pairs.jsonl"
+        write_paired_embeddings(batch, path)
+        loaded = load_paired_embeddings(path)
+        assert loaded == batch
+        assert hash(loaded) == hash(batch)
+        assert PairedEmbeddingSet(3, 2, batch.pairs[:4]) != batch
+        assert "image_matrix" not in repr(batch)
+
+    @pytest.mark.parametrize("grads", [True, False])
+    def test_one_pair_rejected(self, grads):
+        batch = make_pairs([[1.0, 0.0]], [[1.0, 0.0]])
+        with pytest.raises(BatchTooSmallError):
+            contrastive_loss_and_grads(identity_model(2), batch, grads=grads)
+
+
 class TestWarmup:
     def test_zero_epochs_returns_model_unchanged(self):
         rng = np.random.default_rng(51)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ircur
 from ircur import kernel_lesson
 from ircur.cli import (
     PipelineConfig,
@@ -312,6 +315,21 @@ class TestFuse:
         assert main(["fuse", "--config", cfg]) == 4
         assert not (tmp_path / "out" / "fused.jsonl").exists()
 
+    @pytest.mark.parametrize("key, literal", [
+        ("l", "NaN"),
+        ("l_prime", "NaN"),
+        ("alpha", "Infinity"),
+        ("weight", "-Infinity"),
+        ("l_prime", '"0.5"'),
+        ("l", "true"),
+        ("weight", "null"),
+    ])
+    def test_bad_alignment_score_exits_4(self, tmp_path, key, literal):
+        cfg, visual = self.scored(tmp_path)
+        self.replace_first_row(visual.with_name("alignment_scores.jsonl"), key, literal)
+        assert main(["fuse", "--config", cfg]) == 4
+        assert not (tmp_path / "out" / "fused.jsonl").exists()
+
 
 class TestSchedule:
     def fused_six(self, tmp_path):
@@ -383,6 +401,41 @@ class TestSchedule:
             seed=1,
         )
         assert main(["schedule", "--config", cfg]) == 6
+
+    def schedule_exit_code(self, tmp_path, rows):
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            fused=write_lines(tmp_path / "fused.jsonl", rows),
+            out=str(tmp_path / "out"),
+            tiers=3,
+            schedule="difficulty-ascending",
+            seed=1,
+        )
+        return main(["schedule", "--config", cfg])
+
+    def test_string_ranks_exit_4(self, tmp_path):
+        # "0" + "0" == "00": string ranks pass a bare rank-sum check, in sorted order
+        rows = [
+            {"id": f"s{i}", "rank_visual": str(i), "rank_alignment": str(i), "fused_key": str(i) * 2}
+            for i in range(6)
+        ]
+        assert self.schedule_exit_code(tmp_path, rows) == 4
+        assert not (tmp_path / "out" / "plan.jsonl").exists()
+
+    @pytest.mark.parametrize("row", [
+        {"id": "s0", "rank_visual": True, "rank_alignment": True, "fused_key": 2},
+        {"id": "s0", "rank_visual": 0.0, "rank_alignment": 1, "fused_key": 1},
+        {"id": "s0", "rank_visual": 0, "rank_alignment": 1, "fused_key": None},
+        {"id": 7, "rank_visual": 0, "rank_alignment": 1, "fused_key": 1},
+        {"id": "", "rank_visual": 0, "rank_alignment": 1, "fused_key": 1},
+    ])
+    def test_mistyped_fused_row_exits_4(self, tmp_path, row):
+        rows = [row] + [
+            {"id": f"s{i}", "rank_visual": i, "rank_alignment": i, "fused_key": 2 * i}
+            for i in range(1, 6)
+        ]
+        assert self.schedule_exit_code(tmp_path, rows) == 4
+        assert not (tmp_path / "out" / "plan.jsonl").exists()
 
 
 class TestEvaluate:
@@ -589,10 +642,14 @@ def test_module_entry_point(tmp_path):
     per_task.write_text(json.dumps(PER_TASK_VALUES))
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.cfg", per_task=str(per_task), out=str(out))
+    # the child imports ircur from where this process did, installed or not
+    package_root = str(Path(ircur.__file__).resolve().parents[1])
+    search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ircur", "evaluate", "--config", cfg],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": search_path},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
