@@ -195,25 +195,28 @@ class PlanRow:
 
 
 def load_curriculum_plan(path):
+    """The plan's header {"kind", "seed", "M"} and its rows, checked against
+    the contract: a known kind, integer seed and M >= 1, and rows whose
+    positions run 0..N-1, whose ids are distinct non-empty strings and
+    whose tiers lie in 0..M-1."""
     header = None
     rows: list[PlanRow] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if header is None:
-                if "kind" not in obj or "seed" not in obj or "M" not in obj:
-                    raise MalformedLineError(path, line_no, "first line must be the plan header")
-                header = obj
-                continue
-            for key in ("position", "id", "tier", "fused_key"):
-                if key not in obj:
-                    raise MalformedLineError(path, line_no, f"missing field {key!r}")
-            rows.append(PlanRow(obj["position"], obj["id"], obj["tier"], obj["fused_key"]))
+    for line_no, obj in _read_json_lines(path):
+        if header is None:
+            kind = _require_str(obj, "kind", path, line_no)
+            if kind not in SCHEDULE_KINDS:
+                raise MalformedLineError(path, line_no, f"kind must be one of {SCHEDULE_KINDS}")
+            header = {"kind": kind, "seed": _require_int(obj, "seed", path, line_no),
+                      "M": _require_int(obj, "M", path, line_no)}
+            if header["M"] < 1:
+                raise MalformedLineError(path, line_no, "M must be at least 1")
+            continue
+        position, tier, fused_key = (
+            _require_int(obj, key, path, line_no) for key in ("position", "tier", "fused_key")
+        )
+        if not 0 <= tier < header["M"]:
+            raise MalformedLineError(path, line_no, f"tier {tier} is outside 0..{header['M'] - 1}")
+        rows.append(PlanRow(position, _require_str(obj, "id", path, line_no), tier, fused_key))
     if header is None:
         raise MalformedLineError(path, 1, "empty plan file")
     if [r.position for r in rows] != list(range(len(rows))):

@@ -24,11 +24,21 @@ import numpy as np
 from .errors import (
     DegenerateSetError,
     DimensionMismatchError,
+    DuplicateIdError,
     EmptyDomainError,
     IndistinguishableDomainsError,
     MalformedLineError,
 )
-from .ingest import INFRARED, VISIBLE, EmbeddingSet, _read_json_lines, _require, _require_float
+from .ingest import (
+    INFRARED,
+    VISIBLE,
+    EmbeddingSet,
+    _read_json_lines,
+    _require,
+    _require_float,
+    _require_int,
+    _require_str,
+)
 
 KERNEL_KINDS = ("gaussian", "linear")
 BANDWIDTH_MODES = ("fixed", "median")
@@ -40,6 +50,17 @@ _BLOCK = 256
 # most this many bytes, so they stay in cache; every distance is the same
 # float whatever the strip height.
 _STRIP_BYTES = 1 << 20
+# The median's bracket is read off the pairs of at most this many evenly
+# strided rows, this share of their pairs either side of the middle rank;
+# a subsample's middle sat within 0.06 of the whole set's on the inputs
+# tried, so one pass usually finds the middle inside.
+_MEDIAN_SAMPLE_ROWS = 128
+_MEDIAN_MARGIN = 0.1
+# A median pass keeps at most this many squared distances (1 MiB); a wider
+# bracket is first narrowed by counting them in bit-pattern bins.
+_MEDIAN_KEEP = 1 << 17
+_MEDIAN_BINS = 1 << 12
+_INF_BITS = 0x7FF0000000000000  # +inf, the largest non-negative float64 pattern
 
 
 @dataclass(frozen=True)
@@ -87,15 +108,21 @@ def _resolve_bandwidth(embedding_set: EmbeddingSet, cfg: KernelConfig) -> float 
     return float(cfg.bandwidth)
 
 
-def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and of b.
+def _sq_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and of b, written
+    to `out` when given.
 
     Direct differences, not the GEMM form, keep the diagonal exactly 0.
     """
-    out = np.empty((len(a), len(b)))
+    if out is None:
+        out = np.empty((len(a), len(b)))
     strip = max(1, _STRIP_BYTES // (8 * b.size))
+    diff = np.empty((min(strip, len(a)), *b.shape))
     for i in range(0, len(a), strip):
-        out[i : i + strip] = np.sum((a[i : i + strip, None, :] - b[None, :, :]) ** 2, axis=2)
+        rows = diff[: len(a) - i]
+        np.subtract(a[i : i + strip, None, :], b, out=rows)
+        rows *= rows
+        np.sum(rows, axis=2, out=out[i : i + strip])
     return out
 
 
@@ -116,26 +143,124 @@ def gaussian_kernel(x, y, cfg: KernelConfig) -> float:
     return float(np.exp(-sq / (2.0 * cfg.bandwidth * cfg.bandwidth)))
 
 
-def median_bandwidth(embedding_set: EmbeddingSet) -> float:
-    """Median pairwise Euclidean distance over the whole set, zeros excluded."""
-    vectors = np.asarray(embedding_set.vectors(), dtype=np.float64)
-    if len(vectors) < 2:
-        raise DegenerateSetError("median bandwidth needs at least two samples")
-    distances = []
+def _upper_sq_distances(vectors: np.ndarray):
+    """Every squared distance between rows i < j, one flat block at a time.
+
+    Off-diagonal blocks are views of one buffer, valid until the next block.
+    """
+    buffer = np.empty(min(_BLOCK, len(vectors)) ** 2)
     for i in range(0, len(vectors), _BLOCK):
         block = vectors[i : i + _BLOCK]
         for j in range(i, len(vectors), _BLOCK):
             other = vectors[j : j + _BLOCK]
-            sq = _sq_distances(block, other)
-            if i == j:
-                sq = sq[np.triu_indices_from(sq, k=1)]
+            out = buffer[: len(block) * len(other)].reshape(len(block), len(other))
+            sq = _sq_distances(block, other, out)
+            yield sq[np.triu(np.ones(sq.shape, dtype=bool), k=1)] if i == j else sq.ravel()
+
+
+def _to_bits(value) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.int64(bits).view(np.float64))
+
+
+def _median_bracket(vectors: np.ndarray) -> tuple[int, int, float]:
+    """Bit patterns [lo, hi] of squared distances around the middle rank,
+    read off a strided subsample's pairs, and the number of pairs of the
+    whole set expected inside."""
+    sample = vectors[:: -(-len(vectors) // _MEDIAN_SAMPLE_ROWS)]
+    sq = _sq_distances(sample, sample)[np.triu_indices(len(sample), k=1)]
+    sq = np.sort(sq[sq > 0.0])
+    pairs = len(vectors) * (len(vectors) - 1) / 2
+    if sq.size == 0:
+        return 1, _INF_BITS, pairs
+    lo = int((0.5 - _MEDIAN_MARGIN) * (sq.size - 1))
+    hi = math.ceil((0.5 + _MEDIAN_MARGIN) * (sq.size - 1))
+    return _to_bits(sq[lo]), _to_bits(sq[hi]), pairs * (hi - lo + 1) / sq.size
+
+
+def _median_pass(vectors: np.ndarray, lo: int, hi: int, width: int):
+    """One blocked pass over the non-zero squared distances, with [lo, hi]
+    given as float64 bit patterns, which order non-negative floats as
+    their values do.
+
+    Returns how many there are, how many lie below lo and inside, the
+    smallest above hi, and what is found inside: with a bin `width`, the
+    count in each of _MEDIAN_BINS bit-pattern bins from lo; otherwise the
+    values themselves, or None once there are more than _MEDIAN_KEEP.
+    """
+    lo_value, hi_value = _from_bits(lo), _from_bits(hi)
+    total = below = inside = 0
+    above_min = math.inf
+    counts = np.zeros(_MEDIAN_BINS, dtype=np.int64)
+    kept = []
+    for sq in _upper_sq_distances(vectors):
+        zeros = sq.size - np.count_nonzero(sq)
+        total += sq.size - zeros
+        # lo is positive, so the zeros are among the values below it
+        below += np.count_nonzero(sq < lo_value) - zeros
+        above = sq > hi_value
+        above_min = min(above_min, float(np.min(sq, where=above, initial=math.inf)))
+        values = sq[(sq >= lo_value) & ~above]
+        inside += values.size
+        if width:
+            counts += np.bincount((values.view(np.int64) - lo) // width, minlength=_MEDIAN_BINS)
+        elif inside <= _MEDIAN_KEEP:
+            kept.append(values)
+    if width:
+        return total, below, inside, above_min, counts
+    found = np.concatenate(kept) if kept and inside <= _MEDIAN_KEEP else None
+    return total, below, inside, above_min, found
+
+
+def median_bandwidth(embedding_set: EmbeddingSet) -> float:
+    """Median pairwise Euclidean distance over the whole set, zeros excluded.
+
+    `sqrt` is monotone, so this is the square root of the middle non-zero
+    squared distance, or the mean of the square roots of the two middle
+    ones: the same float as `np.median(np.sqrt(nonzero))` over all
+    N(N-1)/2 of them, which are never stored. The pairs of a strided
+    subsample bracket the middle rank; one blocked pass then counts the
+    squared distances below and above the bracket and keeps those inside.
+    A bracket expected to hold more than _MEDIAN_KEEP values is first
+    narrowed by counting passes over bit-pattern bins, and one that missed
+    the middle rank is moved to the side it lies on, so every path holds
+    one block and at most _MEDIAN_KEEP values.
+    """
+    vectors = np.asarray(embedding_set.vectors(), dtype=np.float64)
+    if len(vectors) < 2:
+        raise DegenerateSetError("median bandwidth needs at least two samples")
+    lo, hi, expected = _median_bracket(vectors)
+    while True:
+        width = -(-(hi - lo + 1) // _MEDIAN_BINS) if expected > _MEDIAN_KEEP and lo < hi else 0
+        total, below, inside, above_min, found = _median_pass(vectors, lo, hi, width)
+        if total == 0:
+            raise DegenerateSetError("all samples identical; pairwise distances are zero")
+        # the middle ranks, counted from the first value inside the bracket
+        first, second = (total - 1) // 2 - below, total // 2 - below
+        if first < 0:
+            lo, hi, expected = 1, lo - 1, below
+        elif first >= inside:
+            lo, hi, expected = hi + 1, _INF_BITS, total - below - inside
+        elif width:
+            index = int(np.searchsorted(np.cumsum(found), first, side="right"))
+            lo, hi, expected = (lo + index * width, min(hi, lo + (index + 1) * width - 1),
+                                int(found[index]))
+        elif found is None and lo < hi:
+            expected = inside
+        else:
+            ranks = [r for r in sorted({first, second}) if r < inside]
+            if found is None:
+                # lo == hi: every value inside is the same float
+                middle = [_from_bits(lo)] * len(ranks)
             else:
-                sq = sq.ravel()
-            distances.append(sq[sq > 0.0])
-    nonzero = np.concatenate(distances)
-    if nonzero.size == 0:
-        raise DegenerateSetError("all samples identical; pairwise distances are zero")
-    return float(np.median(np.sqrt(nonzero)))
+                found.partition(ranks)
+                middle = [found[r] for r in ranks]
+            if second >= inside:
+                middle.append(above_min)
+            return float(np.median(np.sqrt(np.array(middle))))
 
 
 def _gram_pass(a: np.ndarray, b: np.ndarray, cfg: KernelConfig, bandwidth: float | None):
@@ -145,14 +270,34 @@ def _gram_pass(a: np.ndarray, b: np.ndarray, cfg: KernelConfig, bandwidth: float
     block and one strip of differences whatever the set sizes. The total
     adds block sums in (i, j) order and each row adds its j-block sums in
     order, so every value is the same float as from whole-row blocks.
+
+    A Gaussian Gram matrix of a set with itself (`b is a`) is symmetric
+    float for float, as its differences only change sign, so each block
+    above the diagonal is computed once and a contiguous copy of its
+    transpose gives the sum and row sums of the block below. Linear blocks
+    are always computed: they are one GEMM each, whose transpose need not
+    match bit for bit.
     """
-    total = 0.0
+    symmetric = b is a and cfg.kind == "gaussian"
+    starts_a, starts_b = range(0, len(a), _BLOCK), range(0, len(b), _BLOCK)
+    block_sums = np.empty((len(starts_a), len(starts_b)))
     row_sums = np.zeros(len(a))
-    for i in range(0, len(a), _BLOCK):
-        for j in range(0, len(b), _BLOCK):
+    for bi, i in enumerate(starts_a):
+        for bj, j in enumerate(starts_b):
+            if symmetric and bj < bi:
+                continue
             block = _kernel_block(a[i : i + _BLOCK], b[j : j + _BLOCK], cfg, bandwidth)
-            total += float(np.sum(block))
+            block_sums[bi, bj] = np.sum(block)
             row_sums[i : i + _BLOCK] += np.sum(block, axis=1)
+            if symmetric and bj > bi:
+                # row block bj takes column blocks 0..bi here, before its
+                # own row of blocks, so each row still adds them in order
+                mirror = np.ascontiguousarray(block.T)
+                block_sums[bj, bi] = np.sum(mirror)
+                row_sums[j : j + _BLOCK] += np.sum(mirror, axis=1)
+    total = 0.0
+    for block_sum in block_sums.flat:
+        total += float(block_sum)
     return total / (len(a) * len(b)), row_sums / len(b)
 
 
@@ -236,16 +381,35 @@ def write_visual_scores(path, geo: DomainGeometry, embedding_set: EmbeddingSet, 
 
 
 def load_visual_scores(path):
+    """The header {"mmd", "bandwidth", "n_ir", "n_vis"} and the score rows,
+    checked against the contract: a finite mmd, a finite positive
+    bandwidth or null, integer counts, and distinct non-empty string ids
+    with finite scores."""
     header = None
     scores: list[VisualScore] = []
+    seen: set[str] = set()
     for line_no, obj in _read_json_lines(path):
         if header is None:
             if "mmd" not in obj:
                 raise MalformedLineError(path, line_no, "first line must be the header")
-            header = obj
+            bandwidth = _require(obj, "bandwidth", path, line_no)
+            if bandwidth is not None:
+                bandwidth = _require_float(obj, "bandwidth", path, line_no)
+                if bandwidth <= 0.0:
+                    raise MalformedLineError(path, line_no, "field 'bandwidth' must be positive")
+            header = {
+                "mmd": _require_float(obj, "mmd", path, line_no),
+                "bandwidth": bandwidth,
+                "n_ir": _require_int(obj, "n_ir", path, line_no),
+                "n_vis": _require_int(obj, "n_vis", path, line_no),
+            }
             continue
+        sample_id = _require_str(obj, "id", path, line_no)
+        if sample_id in seen:
+            raise DuplicateIdError(f"{path}:{line_no}: duplicate id {sample_id!r}")
+        seen.add(sample_id)
         scores.append(VisualScore(
-            _require(obj, "id", path, line_no),
+            sample_id,
             _require_float(obj, "projection", path, line_no),
             _require_float(obj, "d", path, line_no),
         ))

@@ -315,6 +315,42 @@ class TestFuse:
         assert main(["fuse", "--config", cfg]) == 4
         assert not (tmp_path / "out" / "fused.jsonl").exists()
 
+    @pytest.mark.parametrize("header", [
+        '{"mmd": "x", "bandwidth": "y", "n_ir": true, "n_vis": null}',
+        '{"mmd": NaN, "bandwidth": 1.0, "n_ir": 6, "n_vis": 6}',
+        '{"mmd": 0.5, "bandwidth": "y", "n_ir": 6, "n_vis": 6}',
+        '{"mmd": 0.5, "bandwidth": 0.0, "n_ir": 6, "n_vis": 6}',
+        '{"mmd": 0.5, "bandwidth": Infinity, "n_ir": 6, "n_vis": 6}',
+        '{"mmd": 0.5, "bandwidth": null, "n_ir": true, "n_vis": 6}',
+        '{"mmd": 0.5, "bandwidth": null, "n_ir": 6, "n_vis": 6.0}',
+        '{"mmd": 0.5, "bandwidth": null, "n_ir": 6}',
+    ])
+    def test_bad_visual_header_exits_4(self, tmp_path, header):
+        cfg, visual = self.scored(tmp_path)
+        lines = visual.read_text().splitlines()
+        visual.write_text("\n".join([header] + lines[1:]) + "\n")
+        assert main(["fuse", "--config", cfg]) == 4
+        assert not (tmp_path / "out" / "fused.jsonl").exists()
+
+    @pytest.mark.parametrize("literal", ["7", '""', "null"])
+    def test_bad_visual_id_exits_4(self, tmp_path, literal):
+        cfg, visual = self.scored(tmp_path)
+        self.replace_first_row(visual, "id", literal)
+        assert main(["fuse", "--config", cfg]) == 4
+        assert not (tmp_path / "out" / "fused.jsonl").exists()
+
+    @pytest.mark.parametrize("subcommand, target", [
+        ("fuse", "fused.jsonl"),
+        ("histogram", "histogram.json"),
+    ])
+    def test_duplicate_visual_id_exits_4(self, tmp_path, subcommand, target):
+        cfg, visual = self.scored(tmp_path)
+        lines = visual.read_text().splitlines()
+        lines[2] = lines[1]
+        visual.write_text("\n".join(lines) + "\n")
+        assert main([subcommand, "--config", cfg]) == 4
+        assert not (tmp_path / "out" / target).exists()
+
     @pytest.mark.parametrize("key, literal", [
         ("l", "NaN"),
         ("l_prime", "NaN"),
@@ -436,6 +472,54 @@ class TestSchedule:
         ]
         assert self.schedule_exit_code(tmp_path, rows) == 4
         assert not (tmp_path / "out" / "plan.jsonl").exists()
+
+
+class TestTrain:
+    HEADER = {"kind": "difficulty-ascending", "seed": 0, "M": 2}
+
+    def train_exit_code(self, tmp_path, header, edit_row=None):
+        rows = [
+            {"position": i, "id": sid, "tier": i // 3, "fused_key": i}
+            for i, sid in enumerate(sorted(IR_VECTORS))
+        ]
+        if edit_row is not None:
+            rows[0] = {**rows[0], **edit_row}
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            labels=labels_file(tmp_path),
+            plan=write_lines(tmp_path / "plan.jsonl", [header] + rows),
+            out=str(tmp_path / "out"),
+            seed=3,
+            lr=0.1,
+            epochs=1,
+        )
+        return main(["train", "--config", cfg])
+
+    def test_valid_plan_trains(self, tmp_path):
+        assert self.train_exit_code(tmp_path, self.HEADER) == 0
+
+    @pytest.mark.parametrize("header, edit_row", [
+        ({"kind": "bogus", "seed": "x", "M": 99}, {"tier": "t", "fused_key": "k"}),
+        ({**HEADER, "kind": "bogus"}, None),
+        ({**HEADER, "kind": 3}, None),
+        ({**HEADER, "seed": "x"}, None),
+        ({**HEADER, "seed": True}, None),
+        ({**HEADER, "M": 0}, None),
+        ({**HEADER, "M": 2.0}, None),
+        ({"kind": "difficulty-ascending", "seed": 0}, None),
+        (HEADER, {"tier": "t"}),
+        (HEADER, {"tier": 2}),
+        (HEADER, {"tier": -1}),
+        (HEADER, {"position": "0"}),
+        (HEADER, {"fused_key": "k"}),
+        (HEADER, {"fused_key": None}),
+        (HEADER, {"id": 7}),
+        (HEADER, {"id": ""}),
+    ])
+    def test_bad_plan_exits_4(self, tmp_path, header, edit_row):
+        assert self.train_exit_code(tmp_path, header, edit_row) == 4
+        assert not (tmp_path / "out" / "train_report.json").exists()
+        assert not (tmp_path / "out" / "model.json").exists()
 
 
 class TestEvaluate:

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ircur.errors import (
@@ -10,10 +11,12 @@ from ircur.errors import (
     DimensionMismatchError,
     IndistinguishableDomainsError,
 )
+from ircur import kernel_lesson
 from ircur.ingest import EmbeddingSample, EmbeddingSet
 from ircur.kernel_lesson import (
     KernelConfig,
     VisualScore,
+    _gram_pass,
     domain_geometry,
     gaussian_kernel,
     load_visual_scores,
@@ -119,6 +122,104 @@ class TestMedianBandwidth:
         # the median down
         es = make_set([[0.0], [0.0]], [[2.0]])
         assert median_bandwidth(es) == pytest.approx(2.0, abs=1e-12)
+
+
+def drawn_points(n, dim, seed, log_scale, duplicates, grid):
+    """n points, some repeated; on a grid, distances tie often."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, dim))
+    if grid:
+        points = np.round(points * 2.0)
+    points = np.concatenate([points, points[rng.integers(0, n, size=duplicates)]])
+    return points * 10.0 ** log_scale
+
+
+def count_median_passes(monkeypatch):
+    passes = []
+    one_pass = kernel_lesson._median_pass
+
+    def counting(*args):
+        passes.append(args[1:])
+        return one_pass(*args)
+
+    monkeypatch.setattr(kernel_lesson, "_median_pass", counting)
+    return passes
+
+
+class TestMedianExactness:
+    """The bounded median returns the very float that sorting every
+    non-zero distance gives, on sets that cross block edges."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 600),
+        dim=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.integers(-3, 6),
+        duplicates=st.integers(0, 40),
+        grid=st.booleans(),
+    )
+    @example(n=3, dim=1, seed=0, log_scale=0, duplicates=0, grid=False)  # 3 pairs: odd
+    @example(n=4, dim=1, seed=0, log_scale=0, duplicates=0, grid=False)  # 6 pairs: even
+    @example(n=520, dim=2, seed=3, log_scale=-3, duplicates=40, grid=True)
+    @example(n=600, dim=3, seed=4, log_scale=6, duplicates=0, grid=False)
+    def test_equals_median_of_all_distances(self, n, dim, seed, log_scale, duplicates, grid):
+        points = drawn_points(n, dim, seed, log_scale, duplicates, grid)
+        es = make_set(points.tolist(), [])
+        if len(np.unique(points, axis=0)) == 1:
+            with pytest.raises(DegenerateSetError):
+                median_bandwidth(es)
+        else:
+            expected = numpy_median_bandwidth(points[: n // 2], points[n // 2 :])
+            assert median_bandwidth(es) == expected
+
+    @pytest.mark.parametrize("margin, keep", [(0.0, 1 << 17), (0.1, 64), (0.0, 1)])
+    @pytest.mark.parametrize("points", [
+        drawn_points(530, 2, 5, 0, 30, False),
+        drawn_points(531, 1, 6, 2, 0, True),
+        np.eye(300),  # every distance the same
+        drawn_points(4, 1, 0, 0, 0, False),  # 6 distinct distances: the upper middle lies above
+    ], ids=["normal", "grid", "equidistant", "four"])
+    def test_fallback_is_exact(self, monkeypatch, margin, keep, points):
+        # a bracket of one rank misses the middle; a tiny keep cap forces
+        # the counting passes over bit-pattern bins
+        monkeypatch.setattr(kernel_lesson, "_MEDIAN_MARGIN", margin)
+        monkeypatch.setattr(kernel_lesson, "_MEDIAN_KEEP", keep)
+        expected = numpy_median_bandwidth(points[:200], points[200:])
+        assert median_bandwidth(make_set(points.tolist(), [])) == expected
+
+    @pytest.mark.parametrize("margin, keep", [(0.0, 1 << 17), (0.1, 64)])
+    def test_fallback_takes_more_passes(self, monkeypatch, margin, keep):
+        monkeypatch.setattr(kernel_lesson, "_MEDIAN_MARGIN", margin)
+        monkeypatch.setattr(kernel_lesson, "_MEDIAN_KEEP", keep)
+        passes = count_median_passes(monkeypatch)
+        median_bandwidth(make_set(drawn_points(530, 2, 5, 0, 30, False).tolist(), []))
+        assert len(passes) > 1
+        # a small cap is met by counting in bins first
+        assert any(width for _lo, _hi, width in passes) == (keep < 1 << 17)
+
+    def test_one_pass_on_a_typical_set(self, monkeypatch):
+        passes = count_median_passes(monkeypatch)
+        points = drawn_points(600, 8, 7, 0, 0, False)
+        expected = numpy_median_bandwidth(points[:300], points[300:])
+        assert median_bandwidth(make_set(points.tolist(), [])) == expected
+        assert len(passes) == 1
+
+    def test_identical_points_across_blocks_are_degenerate(self):
+        with pytest.raises(DegenerateSetError):
+            median_bandwidth(make_set([[1.5, -2.0]] * 300, [[1.5, -2.0]] * 10))
+
+    def test_memory_is_bounded_by_blocks(self):
+        # all 4.5M distances of 3,000 points would take 36 MB
+        points = np.random.default_rng(8).normal(size=(3000, 8))
+        es = make_set(points[:1500].tolist(), points[1500:].tolist())
+        tracemalloc.start()
+        try:
+            median_bandwidth(es)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestDomainGeometry:
@@ -338,6 +439,26 @@ class TestMultiBlock:
         for score, projection in zip(scores, expected_projection):
             assert score.projection == pytest.approx(projection, abs=1e-10)
             assert score.d == pytest.approx(projection + expected_geo[3], abs=1e-10)
+
+
+class TestThreeBlocks(TestMultiBlock):
+    """At least three blocks per domain, so mirrored blocks cross more than
+    one edge and some land two blocks from the diagonal."""
+
+    N_IR, N_VIS, DIM = 600, 530, 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_symmetric_gram_pass_matches_full_pass(seed):
+    """Mirrored blocks give the floats that computing every block gives.
+    On seed 2, taking a mirror's sum from the block above it would change
+    the last bit of the mean."""
+    points = np.random.default_rng(seed).normal(size=(600, 3))
+    cfg = KernelConfig(bandwidth=1.7)
+    mean, row_means = _gram_pass(points, points, cfg, 1.7)
+    full_mean, full_row_means = _gram_pass(points, points.copy(), cfg, 1.7)
+    assert mean == full_mean
+    assert np.array_equal(row_means, full_row_means)
 
 
 class TestRanking:
