@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     BatchTooSmallError,
+    DegenerateSetError,
     DimensionMismatchError,
     DivergenceError,
     DuplicateIdError,
@@ -248,7 +249,7 @@ def sample_weights(alphas: dict[str, float]) -> dict[str, float]:
 def rank_by_alignment_difficulty(scores) -> list[str]:
     """Easy-to-hard order: ascending post-warm-up loss, ties by id."""
     if not scores:
-        raise ValueError("cannot rank an empty score list")
+        raise DegenerateSetError("cannot rank an empty score list")
     return [s.id for s in sorted(scores, key=lambda s: (s.l_prime, s.id))]
 
 

@@ -33,24 +33,12 @@ from .errors import (
     NonFiniteValueError,
     UndefinedRateError,
 )
-from .ingest import BBox, _read_json_lines, _require, _require_str
-
-TASK_KINDS = (
-    "scene",
-    "recognition",
-    "grounding",
-    "relationship",
-    "reid",
-    "security",
-    "location",
-    "aerial_counting",
-    "pedestrian_counting",
-)
+from .ingest import BBox, _read_json_lines, _require, _require_float, _require_str
 
 POSITIVE_TASKS = ("scene", "recognition", "grounding", "relationship", "reid", "security")
 NEGATIVE_TASKS = ("location", "aerial_counting", "pedestrian_counting")
-
-_ACCURACY_TASKS = ("scene", "recognition", "relationship", "reid", "security")
+# report order, and the task list of the QA generator
+TASK_KINDS = POSITIVE_TASKS + NEGATIVE_TASKS
 
 
 @dataclass(frozen=True)
@@ -132,9 +120,13 @@ def _check_ids(preds: dict, truths: dict) -> None:
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise NonFiniteValueError(f"payload {value!r} is not a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise NonFiniteValueError(f"payload {value!r} is not finite")
-    return float(value)
+    return value
 
 
 def map_at_50(preds: dict, truths: dict) -> float:
@@ -329,20 +321,28 @@ def _parse_boxes(raw, scored, path, line_no):
     return tuple(boxes)
 
 
-def load_per_task(path) -> dict[str, float]:
-    """Read a {task: value} JSON object; values must be finite numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+def _read_json_object(path) -> dict:
+    """The single JSON object a whole file holds."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise MalformedLineError(path, 1, f"not UTF-8: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedLineError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
-        raise MalformedLineError(path, 1, "per-task file must hold one object")
-    for key, value in obj.items():
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-        ):
-            raise MalformedLineError(path, 1, f"value for {key!r} must be a number")
-    return {k: float(v) for k, v in obj.items()}
+        raise MalformedLineError(path, 1, "expected a JSON object")
+    return obj
+
+
+def load_per_task(path) -> dict[str, float]:
+    """Read a {task: value} JSON object; tasks must be known and values
+    finite numbers."""
+    obj = _read_json_object(path)
+    unknown = sorted(set(obj) - set(TASK_KINDS))
+    if unknown:
+        raise MalformedLineError(path, 1, f"unknown tasks: {', '.join(unknown)}")
+    return {task: _require_float(obj, task, path, 1) for task in obj}
 
 
 def write_report(report: BenchmarkReport, path) -> None:
@@ -356,9 +356,8 @@ def write_report(report: BenchmarkReport, path) -> None:
 
 
 def load_report(path) -> BenchmarkReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict) or set(obj) != {"per_task", "psum", "nsum"}:
+    obj = _read_json_object(path)
+    if set(obj) != {"per_task", "psum", "nsum"}:
         raise MalformedLineError(path, 1, "report must hold per_task, psum, nsum")
     report = aggregate(obj["per_task"])
     for key in ("psum", "nsum"):

@@ -52,12 +52,7 @@ from .errors import (
     EmptyDomainError,
     MismatchError,
 )
-from .ingest import (
-    load_annotations,
-    load_embeddings,
-    load_loss_log,
-    _read_json_lines,
-)
+from .ingest import load_annotations, load_embeddings, load_loss_log
 from .kernel_lesson import (
     KernelConfig,
     load_visual_scores,
@@ -97,18 +92,6 @@ SUBCOMMANDS = (
 )
 
 HISTOGRAM_BINS = 50
-
-# flag destinations that override the same-named configuration keys
-_FLAG_KEYS = (
-    "seed",
-    "tiers",
-    "schedule",
-    "bandwidth",
-    "out",
-    "epochs",
-    "lr",
-    "retain_rate",
-)
 
 
 class UsageError(Exception):
@@ -324,27 +307,18 @@ def _cmd_train(cfg: PipelineConfig) -> None:
     _note(model_target)
 
 
-def _scan_categories(path) -> set[str]:
-    """Collect category names ahead of validation, for the default vocabulary."""
-    found: set[str] = set()
-    for _line_no, obj in _read_json_lines(path):
-        for entry in obj.get("objects") or []:
-            if isinstance(entry, dict) and isinstance(entry.get("category"), str):
-                found.add(entry["category"])
-    return found
-
-
 def _cmd_generate_pairs(cfg: PipelineConfig) -> None:
     out = cfg.out_dir()
     ann_path = cfg.path("annotations")
     raw_vocab = cfg.get("vocabulary")
+    vocabulary = None
     if raw_vocab is not None:
         vocabulary = {v.strip() for v in raw_vocab.split(",") if v.strip()}
-    else:
-        vocabulary = _scan_categories(ann_path)
     records = load_annotations(ann_path, vocabulary)
     if not records:
         raise EmptyDomainError(f"{ann_path}: no annotation records")
+    if vocabulary is None:
+        vocabulary = {o.category for r in records for o in r.objects}
     seed = cfg.require_int("seed")
     resample = ResampleConfig(
         retain_rate=cfg.get_float("retain_rate", 1.0),
@@ -477,28 +451,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# error family -> exit code, first match wins; library ValueErrors from
+# config validation (a rate out of range, an unknown schedule) are usage errors
+_EXIT_CODES = (
+    ((UsageError, ValueError), 2),
+    ((MissingInputError, FileNotFoundError), 3),
+    (DataContractError, 4),
+    (DegeneracyError, 5),
+    (MismatchError, 6),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    overrides = {key: getattr(args, key) for key in _FLAG_KEYS}
+    # every flag but these two overrides the configuration key of its name
+    overrides = {k: v for k, v in vars(args).items() if k not in ("subcommand", "config")}
     try:
         cfg = PipelineConfig.from_sources(args.config, overrides)
         run_subcommand(args.subcommand, cfg)
-    except (UsageError, ValueError) as exc:
-        print(f"ircur: {exc}", file=sys.stderr)
-        return 2
-    except (MissingInputError, FileNotFoundError) as exc:
-        print(f"ircur: {exc}", file=sys.stderr)
-        return 3
-    except DataContractError as exc:
-        print(f"ircur: {exc}", file=sys.stderr)
-        return 4
-    except DegeneracyError as exc:
-        print(f"ircur: {exc}", file=sys.stderr)
-        return 5
-    except MismatchError as exc:
-        print(f"ircur: {exc}", file=sys.stderr)
-        return 6
+    except Exception as exc:
+        for kinds, code in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"ircur: {exc}", file=sys.stderr)
+                return code
+        raise
     return 0

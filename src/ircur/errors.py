@@ -70,7 +70,8 @@ class DegeneracyError(IrcurError):
 
 
 class DegenerateSetError(DegeneracyError):
-    """All samples are identical; no bandwidth can be derived."""
+    """An empty set, or all samples identical: nothing to rank, bin or
+    derive a bandwidth from."""
 
 
 class IndistinguishableDomainsError(DegeneracyError):

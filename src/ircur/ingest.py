@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BoundsError,
@@ -92,8 +92,12 @@ class AnnotationRecord:
 
 
 def _read_json_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedLineError(path, line_no, f"not UTF-8: {exc.reason}") from exc
             if not line.strip():
                 continue
             try:
@@ -129,9 +133,13 @@ def _require_float(obj: dict, key: str, path, line_no: int) -> float:
     value = _require(obj, key, path, line_no)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedLineError(path, line_no, f"field {key!r} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise NonFiniteValueError(f"{path}:{line_no}: non-finite {key!r}")
-    return float(value)
+    return value
 
 
 def _require_vector(obj: dict, key: str, path, line_no: int) -> tuple[float, ...]:
@@ -142,7 +150,10 @@ def _require_vector(obj: dict, key: str, path, line_no: int) -> tuple[float, ...
     for entry in value:
         if isinstance(entry, bool) or not isinstance(entry, (int, float)):
             raise MalformedLineError(path, line_no, f"field {key!r} must contain numbers")
-        entry = float(entry)
+        try:
+            entry = float(entry)
+        except OverflowError:  # an integer beyond the float range
+            entry = math.inf
         if not math.isfinite(entry):
             raise NonFiniteValueError(f"{path}:{line_no}: non-finite value in {key!r}")
         out.append(entry)
@@ -206,8 +217,9 @@ def _validate_bbox(raw, width: int, height: int, path, line_no: int) -> BBox:
     return BBox(x, y, w, h)
 
 
-def load_annotations(path, vocabulary: set[str]) -> list[AnnotationRecord]:
-    """Load annotation records, checking bounds and category vocabulary."""
+def load_annotations(path, vocabulary: set[str] | None = None) -> list[AnnotationRecord]:
+    """Load annotation records, checking bounds and, when a vocabulary is
+    given, that every category is in it."""
     records: list[AnnotationRecord] = []
     seen: set[str] = set()
     for line_no, obj in _read_json_lines(path):
@@ -227,7 +239,7 @@ def load_annotations(path, vocabulary: set[str]) -> list[AnnotationRecord]:
             if not isinstance(raw, dict):
                 raise MalformedLineError(path, line_no, "each object must be a JSON object")
             category = _require_str(raw, "category", path, line_no)
-            if category not in vocabulary:
+            if vocabulary is not None and category not in vocabulary:
                 raise UnknownCategoryError(
                     f"{path}:{line_no}: category {category!r} not in vocabulary"
                 )

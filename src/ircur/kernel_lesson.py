@@ -363,7 +363,7 @@ def projection_scores(embedding_set: EmbeddingSet, cfg: KernelConfig) -> list[Vi
 def rank_by_visual_difficulty(scores) -> list[str]:
     """Easy-to-hard order: descending d, ties by ascending id."""
     if not scores:
-        raise ValueError("cannot rank an empty score list")
+        raise DegenerateSetError("cannot rank an empty score list")
     return [s.id for s in sorted(scores, key=lambda s: (-s.d, s.id))]
 
 
@@ -383,8 +383,8 @@ def write_visual_scores(path, geo: DomainGeometry, embedding_set: EmbeddingSet, 
 def load_visual_scores(path):
     """The header {"mmd", "bandwidth", "n_ir", "n_vis"} and the score rows,
     checked against the contract: a finite mmd, a finite positive
-    bandwidth or null, integer counts, and distinct non-empty string ids
-    with finite scores."""
+    bandwidth or null, integer counts with n_ir equal to the number of
+    rows, and distinct non-empty string ids with finite scores."""
     header = None
     scores: list[VisualScore] = []
     seen: set[str] = set()
@@ -392,6 +392,7 @@ def load_visual_scores(path):
         if header is None:
             if "mmd" not in obj:
                 raise MalformedLineError(path, line_no, "first line must be the header")
+            header_line = line_no
             bandwidth = _require(obj, "bandwidth", path, line_no)
             if bandwidth is not None:
                 bandwidth = _require_float(obj, "bandwidth", path, line_no)
@@ -415,4 +416,8 @@ def load_visual_scores(path):
         ))
     if header is None:
         raise MalformedLineError(path, 1, "empty scores file")
+    if header["n_ir"] != len(scores):
+        raise MalformedLineError(
+            path, header_line, f"header n_ir is {header['n_ir']}, the file has {len(scores)} rows"
+        )
     return header, scores

@@ -1,4 +1,4 @@
-"""Template-based QA, caption, crop, and resampling utilities.
+"""Template-based QA, caption, and frame-resampling utilities.
 
 Every generator takes an annotation record plus a seed and is a pure
 function of the two: the same (annotation, seed) pair always yields the
@@ -9,8 +9,9 @@ re-checked against its annotation after the fact (`validate_qa_record`).
 
 QA file: one {"image_id", "task", "question", "options"?, "answer",
 "seed"} object per line; "options" appears only for the three
-multiple-choice tasks. Captions are {"image_id", "text"} lines and
-re-identification grids {"query_id", "grid_ids", "match_index"} lines.
+multiple-choice tasks. Captions are {"image_id", "text"} lines. The
+task list is the benchmark's, but no annotation format carries
+identities, so no "reid" question is generated here.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bench_eval import TASK_KINDS
 from .errors import (
     EmptyDomainError,
     GenerationPreconditionError,
@@ -29,25 +31,12 @@ from .errors import (
 )
 from .ingest import (
     AnnotationRecord,
-    BBox,
     _read_json_lines,
     _require,
     _require_int,
     _require_str,
 )
 from .rng import SplitMix64, choose, sample_indices, shuffled
-
-QA_TASKS = (
-    "scene",
-    "recognition",
-    "grounding",
-    "relationship",
-    "reid",
-    "security",
-    "location",
-    "aerial_counting",
-    "pedestrian_counting",
-)
 
 MCQ_TASKS = ("recognition", "scene", "security")
 OPTION_COUNT = 4
@@ -74,13 +63,6 @@ class QARecord:
 class CaptionRecord:
     image_id: str
     text: str
-
-
-@dataclass(frozen=True)
-class ReidManifest:
-    query_id: str
-    grid_ids: tuple[str, ...]
-    match_index: int
 
 
 @dataclass(frozen=True)
@@ -307,7 +289,7 @@ def _relationship(record, seed):
 
 
 def _counting(record, categories, noun):
-    n = sum(1 for o in record.objects if o.category in categories)
+    n = present_count(record, categories)
     if n == 0:
         raise GenerationPreconditionError(
             f"{record.image_id}: no {noun} to count"
@@ -321,32 +303,7 @@ def _coord(value: float) -> str:
 
 
 # --------------------------------------------------------------------------
-# crops, resampling, re-identification grids
-
-
-def compute_crop_region(record: AnnotationRecord, margin_frac: float) -> BBox:
-    """Union of all boxes, padded by margin_frac of its own size per side,
-    snapped outward to integers, clipped to the image."""
-    if margin_frac < 0:
-        raise ValueError(f"margin_frac must be >= 0, got {margin_frac}")
-    if not record.objects:
-        raise GenerationPreconditionError(
-            f"{record.image_id}: crop region needs at least one object"
-        )
-    x0 = min(o.bbox.x for o in record.objects)
-    y0 = min(o.bbox.y for o in record.objects)
-    x1 = max(o.bbox.x + o.bbox.w for o in record.objects)
-    y1 = max(o.bbox.y + o.bbox.h for o in record.objects)
-    mx, my = margin_frac * (x1 - x0), margin_frac * (y1 - y0)
-    cx0 = max(0, math.floor(x0 - mx))
-    cy0 = max(0, math.floor(y0 - my))
-    cx1 = min(record.width, math.ceil(x1 + mx))
-    cy1 = min(record.height, math.ceil(y1 + my))
-    if cx1 <= cx0 or cy1 <= cy0:
-        raise GenerationPreconditionError(
-            f"{record.image_id}: crop region falls outside the image"
-        )
-    return BBox(cx0, cy0, cx1 - cx0, cy1 - cy0)
+# frame resampling
 
 
 def resample_frames(ids: list, config: ResampleConfig, *, seed: int) -> list:
@@ -368,23 +325,6 @@ def resample_frames(ids: list, config: ResampleConfig, *, seed: int) -> list:
     return [ids[i] for i in sample_indices(len(ids), k, rng)]
 
 
-def generate_reid(
-    query_id: str, match_id: str, pool: list[str], *, seed: int
-) -> ReidManifest:
-    """8-image grid: the match plus 7 seeded distractors, shuffled."""
-    candidates = sorted(set(pool) - {match_id, query_id})
-    if len(candidates) < 7:
-        raise GenerationPreconditionError(
-            f"{query_id}: need 7 distractor candidates, pool leaves {len(candidates)}"
-        )
-    rng = SplitMix64(seed)
-    distractors = choose(candidates, 7, rng)
-    grid = shuffled([match_id, *distractors], rng)
-    return ReidManifest(
-        query_id=query_id, grid_ids=tuple(grid), match_index=grid.index(match_id)
-    )
-
-
 # --------------------------------------------------------------------------
 # validation against the source annotation
 
@@ -392,14 +332,14 @@ def generate_reid(
 def validate_qa_record(record: QARecord, ann: AnnotationRecord) -> None:
     """Re-derive every checkable property of `record` from `ann`.
 
-    Raises GenerationPreconditionError's parent family (via the checks
-    below) on any inconsistency; returns None when the record holds up.
+    Raises MalformedLineError (line 0) on any inconsistency; returns None
+    when the record holds up.
     """
     if record.image_id != ann.image_id:
         raise MalformedLineError(
             record.image_id, 0, f"annotation is for {ann.image_id!r}"
         )
-    if record.task not in QA_TASKS:
+    if record.task not in TASK_KINDS:
         raise MalformedLineError(record.image_id, 0, f"unknown task {record.task!r}")
     if not record.question:
         raise MalformedLineError(record.image_id, 0, "empty question")
@@ -447,7 +387,7 @@ def validate_qa_record(record: QARecord, ann: AnnotationRecord) -> None:
         _check_count(record, present_count(ann, VEHICLE_CATEGORIES))
     else:
         raise MalformedLineError(
-            record.image_id, 0, "reid pairs are stored as grid manifests"
+            record.image_id, 0, "reid questions are not generated from annotations"
         )
 
 
@@ -463,10 +403,7 @@ def _check_count(record, expected):
 
 
 def _in_bounds(box, ann) -> bool:
-    if not (isinstance(box, list) and len(box) == 4):
-        return False
-    x, y, w, h = box
-    return x >= 0 and y >= 0 and w >= 1 and h >= 1 and x + w <= ann.width and y + h <= ann.height
+    return _is_box(box) and box[0] + box[2] <= ann.width and box[1] + box[3] <= ann.height
 
 
 # --------------------------------------------------------------------------
@@ -489,7 +426,7 @@ def load_qa_records(path) -> list[QARecord]:
     for line_no, obj in _read_json_lines(path):
         image_id = _require_str(obj, "image_id", path, line_no)
         task = _require_str(obj, "task", path, line_no)
-        if task not in QA_TASKS:
+        if task not in TASK_KINDS:
             raise MalformedLineError(path, line_no, f"unknown task {task!r}")
         question = _require_str(obj, "question", path, line_no)
         seed = _require_int(obj, "seed", path, line_no)
@@ -555,7 +492,9 @@ def _check_loaded_answer(task, options, answer, path, line_no):
         if isinstance(answer, bool) or not isinstance(answer, int) or answer < 0:
             raise MalformedLineError(path, line_no, "count must be a whole number")
     else:
-        raise MalformedLineError(path, line_no, "reid pairs are stored as grid manifests")
+        raise MalformedLineError(
+            path, line_no, "reid questions are not generated from annotations"
+        )
 
 
 def _is_box(value) -> bool:
@@ -584,39 +523,3 @@ def load_captions(path) -> list[CaptionRecord]:
         )
         for line_no, obj in _read_json_lines(path)
     ]
-
-
-def write_reid_manifests(manifests, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for m in manifests:
-            obj = {
-                "query_id": m.query_id,
-                "grid_ids": list(m.grid_ids),
-                "match_index": m.match_index,
-            }
-            fh.write(json.dumps(obj) + "\n")
-
-
-def load_reid_manifests(path) -> list[ReidManifest]:
-    manifests = []
-    for line_no, obj in _read_json_lines(path):
-        query_id = _require_str(obj, "query_id", path, line_no)
-        grid = _require(obj, "grid_ids", path, line_no)
-        if (
-            not isinstance(grid, list)
-            or len(grid) != 8
-            or len(set(grid)) != 8
-            or not all(isinstance(g, str) and g for g in grid)
-        ):
-            raise MalformedLineError(
-                path, line_no, "grid_ids must be 8 distinct non-empty strings"
-            )
-        match_index = _require_int(obj, "match_index", path, line_no)
-        if not 0 <= match_index < 8:
-            raise MalformedLineError(path, line_no, "match_index must be in [0, 8)")
-        manifests.append(
-            ReidManifest(
-                query_id=query_id, grid_ids=tuple(grid), match_index=match_index
-            )
-        )
-    return manifests

@@ -13,8 +13,7 @@ Train report file: one JSON object {"loss_curve", "final_accuracy"}.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +55,6 @@ class TrainConfig:
     epochs: int
     batch_size: int
     seed: int
-    use_weights: bool = True
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -146,8 +144,6 @@ def train(model: SoftmaxModel, data: LabeledSet, plan: CurriculumPlan,
         raise IdSetMismatchError("plan ids and data ids differ")
     if len(plan.order) != len(data.samples):
         raise IdSetMismatchError("plan and data sizes differ")
-    if not cfg.use_weights:
-        weights = {sample_id: 1.0 for sample_id in plan.order}
     ordered = [by_id[sample_id] for sample_id in plan.order]
     n = len(ordered)
     curve = []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ircur.errors import (
     BatchTooSmallError,
+    DegenerateSetError,
     DuplicateIdError,
     NonFiniteValueError,
     UndefinedRateError,
@@ -345,7 +346,7 @@ class TestRanking:
         assert rank_by_alignment_difficulty([AlignmentScore("x", 1.0, 1.0, 0.0, 1.5)]) == ["x"]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateSetError):
             rank_by_alignment_difficulty([])
 
 

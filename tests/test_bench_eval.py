@@ -212,6 +212,8 @@ class TestMae:
             mae({"a": float("nan")}, {"a": 1})
         with pytest.raises(NonFiniteValueError):
             mae({"a": 1}, {"a": float("inf")})
+        with pytest.raises(NonFiniteValueError):
+            mae({"a": 10**400}, {"a": 1})
 
     def test_non_numeric_rejected(self):
         with pytest.raises(NonFiniteValueError):

@@ -140,6 +140,9 @@ TEXT_VECTORS = {
 
 LABELS = {"s0": 0, "s1": 1, "s2": 0, "s3": 1, "s4": 0, "s5": 1}
 
+# a JSON integer beyond the float range
+HUGE = "1" + "0" * 400
+
 PER_TASK_VALUES = {
     "scene": 85.12,
     "recognition": 99.79,
@@ -279,6 +282,17 @@ class TestScoreVisual:
         header = json.loads((tmp_path / "out" / "visual_scores.jsonl").read_text().splitlines()[0])
         assert header["bandwidth"] == original(calls[0])
 
+    @pytest.mark.parametrize("old, new", [
+        (b"0.1", HUGE.encode()),
+        (b'"s1"', b'"s\xff"'),
+    ], ids=["overflow", "not-utf8"])
+    def test_bad_embeddings_bytes_exit_4(self, tmp_path, old, new):
+        path = Path(embeddings_file(tmp_path))
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        cfg = write_config(tmp_path / "run.cfg", embeddings=str(path), out=str(tmp_path / "out"))
+        assert main(["score-visual", "--config", cfg]) == 4
+        assert not (tmp_path / "out" / "visual_scores.jsonl").exists()
+
 
 class TestFuse:
     def scored(self, tmp_path):
@@ -324,12 +338,24 @@ class TestFuse:
         '{"mmd": 0.5, "bandwidth": null, "n_ir": true, "n_vis": 6}',
         '{"mmd": 0.5, "bandwidth": null, "n_ir": 6, "n_vis": 6.0}',
         '{"mmd": 0.5, "bandwidth": null, "n_ir": 6}',
+        '{"mmd": 0.5, "bandwidth": null, "n_ir": 999, "n_vis": 0}',
     ])
     def test_bad_visual_header_exits_4(self, tmp_path, header):
         cfg, visual = self.scored(tmp_path)
         lines = visual.read_text().splitlines()
         visual.write_text("\n".join([header] + lines[1:]) + "\n")
         assert main(["fuse", "--config", cfg]) == 4
+        assert not (tmp_path / "out" / "fused.jsonl").exists()
+
+    @pytest.mark.parametrize("emptied", ["visual", "alignment"])
+    def test_empty_score_set_exits_5(self, tmp_path, emptied):
+        cfg, visual = self.scored(tmp_path)
+        if emptied == "visual":
+            header = {**json.loads(visual.read_text().splitlines()[0]), "n_ir": 0}
+            visual.write_text(json.dumps(header) + "\n")
+        else:
+            visual.with_name("alignment_scores.jsonl").write_text("")
+        assert main(["fuse", "--config", cfg]) == 5
         assert not (tmp_path / "out" / "fused.jsonl").exists()
 
     @pytest.mark.parametrize("literal", ["7", '""', "null"])
@@ -359,6 +385,7 @@ class TestFuse:
         ("l_prime", '"0.5"'),
         ("l", "true"),
         ("weight", "null"),
+        pytest.param("l", HUGE, id="l-overflow"),
     ])
     def test_bad_alignment_score_exits_4(self, tmp_path, key, literal):
         cfg, visual = self.scored(tmp_path)
@@ -534,6 +561,20 @@ class TestEvaluate:
         assert report["nsum"] == pytest.approx(4.39, abs=0.005)
         assert report["per_task"] == PER_TASK_VALUES
 
+    @pytest.mark.parametrize("content", [
+        b'{"scene": 85.12,',
+        b'{"scene": 85.12, "reid": "\xff"}',
+        json.dumps({**PER_TASK_VALUES, "segmentation": 1.0}).encode(),
+        json.dumps({**PER_TASK_VALUES, "scene": 10 ** 400}).encode(),
+    ], ids=["invalid-json", "not-utf8", "unknown-task", "overflow"])
+    def test_bad_per_task_file_exits_4(self, tmp_path, content):
+        per_task = tmp_path / "per_task.json"
+        per_task.write_bytes(content)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", per_task=str(per_task), out=str(out))
+        assert main(["evaluate", "--config", cfg]) == 4
+        assert not (out / "report.json").exists()
+
 
 ANNOTATIONS = [
     {
@@ -651,6 +692,24 @@ class TestGeneratePairs:
         first = [(out / n).read_bytes() for n in ("qa.jsonl", "captions.jsonl")]
         assert main(["generate-pairs", "--config", cfg]) == 0
         assert [(out / n).read_bytes() for n in ("qa.jsonl", "captions.jsonl")] == first
+
+    def test_default_vocabulary_is_the_file_categories(self, tmp_path):
+        ann = write_lines(tmp_path / "annotations.jsonl", ANNOTATIONS)
+        categories = sorted({o["category"] for rec in ANNOTATIONS for o in rec["objects"]})
+        written = []
+        for name, extra in (("default", {}), ("declared", {"vocabulary": ",".join(categories)})):
+            cfg = write_config(
+                tmp_path / f"{name}.cfg",
+                annotations=ann,
+                scenes=SCENES,
+                out=str(tmp_path / name),
+                seed=7,
+                **extra,
+            )
+            assert main(["generate-pairs", "--config", cfg]) == 0
+            written.append((tmp_path / name / "qa.jsonl").read_bytes())
+        assert b'"recognition"' in written[0]
+        assert written[0] == written[1]
 
     def test_stride_resample_keeps_alternate_frames(self, tmp_path):
         out = tmp_path / "out"

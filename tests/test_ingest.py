@@ -99,6 +99,19 @@ class TestLoadEmbeddings:
         with pytest.raises((NonFiniteValueError, MalformedLineError)):
             load_embeddings(path)
 
+    def test_integer_beyond_float_range_is_non_finite(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a01", "domain": "infrared", "vector": [1.0, 1%s]}\n' % ("0" * 400))
+        with pytest.raises(NonFiniteValueError):
+            load_embeddings(path)
+
+    def test_non_utf8_names_line(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_bytes(json.dumps(embedding_rows()[0]).encode() + b'\n{"id": "\xff"}\n')
+        with pytest.raises(MalformedLineError) as exc:
+            load_embeddings(path)
+        assert exc.value.line_no == 2
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         rows = embedding_rows()
@@ -190,6 +203,13 @@ class TestLoadAnnotations:
         with pytest.raises(MalformedLineError, match="integer"):
             load_annotations(path, self.VOCAB)
 
+    def test_no_vocabulary_accepts_any_category(self, tmp_path):
+        rows = annotation_rows()
+        rows[0]["objects"][0]["category"] = "dragon"
+        path = tmp_path / "ann.jsonl"
+        write_lines(path, rows)
+        assert load_annotations(path)[0].objects[0].category == "dragon"
+
     def test_round_trip(self, tmp_path):
         src = tmp_path / "src.jsonl"
         write_lines(src, annotation_rows())
@@ -230,4 +250,10 @@ class TestLoadLossLog:
         path = tmp_path / "log.jsonl"
         write_lines(path, [{"id": "a", "l": 1.0, "l_prime": 1.0}] * 2)
         with pytest.raises(DuplicateIdError):
+            load_loss_log(path)
+
+    def test_integer_beyond_float_range_is_non_finite(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"id": "a", "l": 1%s, "l_prime": 1.0}\n' % ("0" * 400))
+        with pytest.raises(NonFiniteValueError):
             load_loss_log(path)

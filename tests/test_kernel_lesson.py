@@ -10,6 +10,7 @@ from ircur.errors import (
     DegenerateSetError,
     DimensionMismatchError,
     IndistinguishableDomainsError,
+    MalformedLineError,
 )
 from ircur import kernel_lesson
 from ircur.ingest import EmbeddingSample, EmbeddingSet
@@ -474,7 +475,7 @@ class TestRanking:
         assert rank_by_visual_difficulty([VisualScore("only", 0.5, 1.5)]) == ["only"]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateSetError):
             rank_by_visual_difficulty([])
 
 
@@ -501,6 +502,16 @@ class TestScoresIo:
         write_visual_scores(path, geo, es, scores)
         header, _ = load_visual_scores(path)
         assert header["bandwidth"] == 1.5
+
+    def test_header_count_must_match_rows(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            '{"mmd": 1.0, "bandwidth": null, "n_ir": 2, "n_vis": 1}\n'
+            '{"id": "a", "projection": 0.0, "d": 1.0}\n'
+        )
+        with pytest.raises(MalformedLineError) as exc:
+            load_visual_scores(path)
+        assert exc.value.line_no == 1
 
     def test_byte_identical_rewrite(self, tmp_path):
         rng = np.random.default_rng(31)

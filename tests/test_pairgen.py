@@ -16,21 +16,16 @@ from ircur.pairgen import (
     VEHICLE_CATEGORIES,
     CaptionRecord,
     QARecord,
-    ReidManifest,
     ResampleConfig,
-    compute_crop_region,
     generate_caption,
     generate_mcq,
-    generate_reid,
     generate_spatial,
     load_captions,
     load_qa_records,
-    load_reid_manifests,
     resample_frames,
     validate_qa_record,
     write_captions,
     write_qa_records,
-    write_reid_manifests,
 )
 
 
@@ -265,28 +260,6 @@ class TestCounting:
             generate_spatial(ann([obj("car", 0, 0, 5, 5)]), "pedestrian_counting", seed=0)
 
 
-class TestCropRegion:
-    def test_single_object_margin_zero(self):
-        region = compute_crop_region(ann([obj("person", 10, 10, 20, 40)]), 0.0)
-        assert region == BBox(10, 10, 20, 40)
-
-    def test_union_of_corners(self):
-        region = compute_crop_region(ann([obj("a", 0, 0, 10, 10), obj("b", 20, 20, 10, 10)]), 0.0)
-        assert region == BBox(0, 0, 30, 30)
-
-    def test_clipped_at_border(self):
-        region = compute_crop_region(ann([obj("car", 600, 480, 40, 30)]), 0.5)
-        assert region == BBox(580, 465, 60, 47)
-
-    def test_fractional_margin_floor_and_ceil(self):
-        region = compute_crop_region(ann([obj("car", 10, 10, 5, 5)]), 0.1)
-        assert region == BBox(9, 9, 7, 7)
-
-    def test_no_objects_rejected(self):
-        with pytest.raises(GenerationPreconditionError):
-            compute_crop_region(ann([]), 0.0)
-
-
 class TestResample:
     def test_one_percent_of_large_corpus_exact(self):
         ids = list(range(1_700_000))
@@ -319,21 +292,6 @@ class TestResample:
             ResampleConfig(retain_rate=1.5, mode="stride")
         with pytest.raises(ValueError):
             ResampleConfig(retain_rate=0.5, mode="sorted")
-
-
-class TestReid:
-    def test_manifest_contract(self):
-        pool = [f"g{i:02d}" for i in range(12)]
-        manifest = generate_reid("query7", "match7", pool, seed=9)
-        assert isinstance(manifest, ReidManifest)
-        assert len(manifest.grid_ids) == 8
-        assert manifest.grid_ids[manifest.match_index] == "match7"
-        assert set(manifest.grid_ids) - {"match7"} <= set(pool)
-        assert manifest == generate_reid("query7", "match7", pool, seed=9)
-
-    def test_pool_too_small(self):
-        with pytest.raises(GenerationPreconditionError):
-            generate_reid("q", "m", ["a", "b"], seed=0)
 
 
 class TestQaIo:
@@ -398,12 +356,6 @@ class TestQaIo:
         path = tmp_path / "captions.jsonl"
         write_captions(records, path)
         assert load_captions(path) == records
-
-    def test_reid_round_trip(self, tmp_path):
-        manifests = [generate_reid("q", "m", [f"g{i}" for i in range(9)], seed=4)]
-        path = tmp_path / "reid.jsonl"
-        write_reid_manifests(manifests, path)
-        assert load_reid_manifests(path) == manifests
 
 
 CATEGORY_POOL = ("car", "person", "truck", "dog", "bicycle", "bus")

@@ -199,16 +199,16 @@ class TestTrain:
         assert r1.loss_curve == pytest.approx(r2.loss_curve, abs=1e-12)
         assert np.allclose(m1.W, m2.W, atol=1e-12)
 
-    def test_use_weights_off_ignores_weights(self):
-        data = self.make_data(n=12)
+    def test_partial_last_batch_weighted_by_its_length(self):
+        # 10 samples in batches of 4, 4 and 2. A negligible rate keeps the
+        # zero model uniform, so sample i's loss is w_i ln 3 in every batch
+        # and the epoch loss is the plain mean over all ten samples.
+        data = self.make_data(n=10)
         ids = [s.id for s in data.samples]
-        crazy = {i: 17.0 for i in ids}
-        cfg_off = TrainConfig(lr=0.05, epochs=4, batch_size=4, seed=0, use_weights=False)
-        m1 = init_softmax_model(3, 3, seed=8)
-        r1 = train(m1, data, toy_plan(ids), crazy, cfg_off)
-        m2 = init_softmax_model(3, 3, seed=8)
-        r2 = train(m2, data, toy_plan(ids), ones_weights(data), cfg_off)
-        assert r1.loss_curve == pytest.approx(r2.loss_curve, abs=0)
+        weights = {sample_id: float(i + 1) for i, sample_id in enumerate(ids)}
+        cfg = TrainConfig(lr=1e-12, epochs=1, batch_size=4, seed=0)
+        report = train(zero_model(3, 3), data, toy_plan(ids), weights, cfg)
+        assert report.loss_curve == [pytest.approx(55.0 * math.log(3.0) / 10, rel=1e-9)]
 
     def test_holdout_accuracy_reported(self):
         data = self.make_data(n=30, seed=21)
