@@ -18,7 +18,8 @@ import json
 import math
 import statistics
 import warnings
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,21 +48,48 @@ class PairedSample:
     text_vector: tuple[float, ...]
 
 
-@dataclass(frozen=True)
 class PairedEmbeddingSet:
-    """Pairs in input order; both towers' vectors also as read-only float64 matrices."""
+    """Pairs in input order: their ids and each tower's vectors as one
+    read-only float64 matrix, one row per pair.
 
-    dim_img: int
-    dim_txt: int
-    pairs: tuple[PairedSample, ...]
-    image_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    text_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    PairedEmbeddingSet(dim_img, dim_txt, pairs) builds the matrices once
+    from PairedSample records; the loader passes ids and matrices instead.
+    """
 
-    def __post_init__(self):
-        for name, key in (("image_matrix", "image_vector"), ("text_matrix", "text_vector")):
-            matrix = np.asarray([getattr(p, key) for p in self.pairs], dtype=np.float64)
-            matrix.flags.writeable = False
-            object.__setattr__(self, name, matrix)
+    __slots__ = ("dim_img", "dim_txt", "ids", "image_matrix", "text_matrix")
+
+    def __init__(self, dim_img: int, dim_txt: int, pairs: tuple[PairedSample, ...] | None = None,
+                 *, ids=(), image_matrix=(), text_matrix=()):
+        if pairs is not None:
+            ids = [p.id for p in pairs]
+            image_matrix = [p.image_vector for p in pairs]
+            text_matrix = [p.text_vector for p in pairs]
+        self.dim_img = dim_img
+        self.dim_txt = dim_txt
+        self.ids = tuple(ids)
+        # read-only views, so a caller's own arrays stay writeable
+        self.image_matrix = np.asarray(image_matrix, dtype=np.float64).view()
+        self.text_matrix = np.asarray(text_matrix, dtype=np.float64).view()
+        self.image_matrix.flags.writeable = False
+        self.text_matrix.flags.writeable = False
+
+    @property
+    def pairs(self) -> tuple[PairedSample, ...]:
+        """The pairs as records, rebuilt from the matrices on each call."""
+        return tuple(
+            PairedSample(i, tuple(a), tuple(b))
+            for i, a, b in zip(self.ids, self.image_matrix.tolist(), self.text_matrix.tolist())
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, PairedEmbeddingSet):
+            return NotImplemented
+        return ((self.dim_img, self.dim_txt, self.ids) == (other.dim_img, other.dim_txt, other.ids)
+                and np.array_equal(self.image_matrix, other.image_matrix)
+                and np.array_equal(self.text_matrix, other.text_matrix))
+
+    def __hash__(self):
+        return hash((self.dim_img, self.dim_txt, self.ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +119,8 @@ class AlignmentConfig:
 
 def init_two_tower(dim_img: int, dim_txt: int, d_shared: int = 32,
                    temperature: float = 0.07, seed: int = 0) -> TwoTowerModel:
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError("temperature must be finite and positive")
     rng = np.random.default_rng(seed)
     proj_img = rng.normal(0.0, 1.0 / math.sqrt(dim_img), size=(dim_img, d_shared))
     proj_txt = rng.normal(0.0, 1.0 / math.sqrt(dim_txt), size=(dim_txt, d_shared))
@@ -120,7 +148,7 @@ def contrastive_loss_and_grads(model: TwoTowerModel, batch: PairedEmbeddingSet, 
     n x n buffers, doing the same floating-point operations in the same
     order as the textbook form, so every result is bit for bit the same.
     """
-    n = len(batch.pairs)
+    n = len(batch.ids)
     if n < 2:
         raise BatchTooSmallError("contrastive loss needs at least 2 pairs")
     x_img, x_txt = batch.image_matrix, batch.text_matrix
@@ -160,7 +188,7 @@ def contrastive_loss_and_grads(model: TwoTowerModel, batch: PairedEmbeddingSet, 
 
 def per_sample_loss(model: TwoTowerModel, batch: PairedEmbeddingSet) -> dict[str, float]:
     _, per_sample, _, _ = contrastive_loss_and_grads(model, batch, grads=False)
-    return {p.id: float(v) for p, v in zip(batch.pairs, per_sample)}
+    return dict(zip(batch.ids, per_sample.tolist()))
 
 
 def warmup(model: TwoTowerModel, data: PairedEmbeddingSet, epochs: int, lr: float) -> TwoTowerModel:
@@ -171,8 +199,8 @@ def warmup(model: TwoTowerModel, data: PairedEmbeddingSet, epochs: int, lr: floa
     """
     if epochs < 0:
         raise ValueError("epochs must be nonnegative")
-    if lr <= 0:
-        raise ValueError("lr must be positive")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError("lr must be finite and positive")
     current = model
     previous_loss = None
     rose = False
@@ -259,17 +287,15 @@ def score_alignment(data: PairedEmbeddingSet, cfg: AlignmentConfig) -> list[Alig
     before = per_sample_loss(model, data)
     warmed = warmup(model, data, cfg.epochs, cfg.lr)
     after = per_sample_loss(warmed, data)
-    alphas = {p.id: loss_variation(before[p.id], after[p.id]) for p in data.pairs}
+    alphas = {i: loss_variation(before[i], after[i]) for i in data.ids}
     weights = sample_weights(alphas)
-    return [
-        AlignmentScore(p.id, before[p.id], after[p.id], alphas[p.id], weights[p.id])
-        for p in data.pairs
-    ]
+    return [AlignmentScore(i, before[i], after[i], alphas[i], weights[i]) for i in data.ids]
 
 
 def load_paired_embeddings(path) -> PairedEmbeddingSet:
-    pairs: list[PairedSample] = []
+    ids: list[str] = []
     seen: set[str] = set()
+    images, texts = array("d"), array("d")
     dim_img = dim_txt = None
     for line_no, obj in _read_json_lines(path):
         sample_id = _require_str(obj, "id", path, line_no)
@@ -285,19 +311,27 @@ def load_paired_embeddings(path) -> PairedEmbeddingSet:
                 f"{path}:{line_no}: expected dims ({dim_img}, {dim_txt}), "
                 f"got ({len(image)}, {len(text)})"
             )
-        pairs.append(PairedSample(sample_id, image, text))
-    if not pairs:
+        ids.append(sample_id)
+        images.extend(image)
+        texts.extend(text)
+    if not ids:
         raise EmptyDomainError(f"{path}: no pairs")
-    return PairedEmbeddingSet(dim_img, dim_txt, tuple(pairs))
+    n = len(ids)
+    return PairedEmbeddingSet(
+        dim_img, dim_txt, ids=ids,
+        image_matrix=np.frombuffer(images, dtype=np.float64).reshape(n, dim_img),
+        text_matrix=np.frombuffer(texts, dtype=np.float64).reshape(n, dim_txt),
+    )
 
 
 def write_paired_embeddings(data: PairedEmbeddingSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for p in data.pairs:
+        for sample_id, image, text in zip(data.ids, data.image_matrix.tolist(),
+                                          data.text_matrix.tolist()):
             fh.write(json.dumps({
-                "id": p.id,
-                "image_vector": list(p.image_vector),
-                "text_vector": list(p.text_vector),
+                "id": sample_id,
+                "image_vector": image,
+                "text_vector": text,
             }) + "\n")
 
 

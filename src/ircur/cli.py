@@ -271,32 +271,37 @@ def _cmd_schedule(cfg: PipelineConfig) -> None:
     _note(target, f"{len(plan.order)} positions, {tiers.M} tiers")
 
 
-def _cmd_train(cfg: PipelineConfig) -> None:
-    out = cfg.out_dir()
-    data = load_labeled_set(cfg.path("labels"))
-    header, rows = load_curriculum_plan(cfg.path("plan", out / "plan.jsonl"))
-    plan = CurriculumPlan(
+def _load_plan(path) -> CurriculumPlan:
+    # the plan rows are freed on return, before training allocates
+    header, rows = load_curriculum_plan(path)
+    return CurriculumPlan(
         kind=header["kind"],
         seed=header["seed"],
         order=[r.id for r in rows],
         tier_of={r.id: r.tier for r in rows},
     )
+
+
+def _cmd_train(cfg: PipelineConfig) -> None:
+    out = cfg.out_dir()
+    data = load_labeled_set(cfg.path("labels"))
+    plan = _load_plan(cfg.path("plan", out / "plan.jsonl"))
     if cfg.get("loss_log") is not None:
-        log = load_loss_log(cfg.path("loss_log"))
-        weights = sample_weights(
-            {i: loss_variation(l, l_prime) for i, (l, l_prime) in log.items()}
-        )
+        # only the weights live on through training, not the log
+        weights = sample_weights({
+            i: loss_variation(l, l_prime)
+            for i, (l, l_prime) in load_loss_log(cfg.path("loss_log")).items()
+        })
     else:
-        weights = {s.id: 1.0 for s in data.samples}
+        weights = dict.fromkeys(data.ids, 1.0)
     config = TrainConfig(
         lr=cfg.require_float("lr"),
         epochs=cfg.require_int("epochs"),
         batch_size=cfg.get_int("batch_size", 32),
         seed=cfg.require_int("seed"),
     )
-    n_classes = max(s.label for s in data.samples) + 1
-    dim = len(data.samples[0].features)
-    model = init_softmax_model(n_classes, dim, seed=config.seed)
+    n_classes = int(data.labels.max()) + 1
+    model = init_softmax_model(n_classes, data.features.shape[1], seed=config.seed)
     report = train(model, data, plan, weights, config)
     target = out / "train_report.json"
     write_train_report(report, target)

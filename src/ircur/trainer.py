@@ -6,6 +6,12 @@ cross-entropy objective and the effect of sample ordering. Samples are
 consumed in plan order, sliced into batches of batch_size, with the plan
 replayed every epoch; updates are plain SGD.
 
+A LabeledSet holds its samples as arrays, in input order: `ids` (a tuple
+of str), `features` (a read-only float64 matrix, one row per sample) and
+`labels` (a read-only intp array). `train` permutes them into plan order
+once and slices each batch from the result; one forward pass per batch
+gives both the loss and the gradient.
+
 Labeled-set file: {"id", "features", "label"} rows.
 Train report file: one JSON object {"loss_curve", "final_accuracy"}.
 """
@@ -13,6 +19,8 @@ Train report file: one JSON object {"loss_curve", "final_accuracy"}.
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +49,41 @@ class LabeledSample:
     label: int
 
 
-@dataclass(frozen=True)
 class LabeledSet:
-    samples: tuple[LabeledSample, ...]
+    """Samples in input order: ids, a features matrix and a labels array.
 
-    def by_id(self) -> dict[str, LabeledSample]:
-        return {s.id: s for s in self.samples}
+    LabeledSet(ids, features, labels) takes the arrays as they are;
+    LabeledSet(samples=...) builds them once from LabeledSample records.
+    """
+
+    __slots__ = ("ids", "features", "labels")
+
+    def __init__(self, ids=(), features=(), labels=(), *,
+                 samples: tuple[LabeledSample, ...] | None = None):
+        if samples is not None:
+            ids = [s.id for s in samples]
+            features = [s.features for s in samples]
+            labels = [s.label for s in samples]
+        self.ids = tuple(ids)
+        # read-only views, so a caller's own arrays stay writeable
+        self.features = np.asarray(features, dtype=np.float64).view()
+        self.labels = np.asarray(labels, dtype=np.intp).view()
+        self.features.flags.writeable = False
+        self.labels.flags.writeable = False
+
+    @property
+    def samples(self) -> tuple[LabeledSample, ...]:
+        """The samples as records, rebuilt from the arrays on each call."""
+        return tuple(
+            LabeledSample(i, tuple(f), label)
+            for i, f, label in zip(self.ids, self.features.tolist(), self.labels.tolist())
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, LabeledSet):
+            return NotImplemented
+        return (self.ids == other.ids and np.array_equal(self.features, other.features)
+                and np.array_equal(self.labels, other.labels))
 
 
 @dataclass(frozen=True)
@@ -57,8 +94,8 @@ class TrainConfig:
     seed: int
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be finite and positive")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
@@ -76,58 +113,59 @@ def init_softmax_model(n_classes: int, dim: int, seed: int) -> SoftmaxModel:
     return SoftmaxModel(W=rng.normal(0.0, 0.01, size=(n_classes, dim)), b=np.zeros(n_classes))
 
 
-def _probabilities(model: SoftmaxModel, features: np.ndarray) -> np.ndarray:
-    logits = features @ model.W.T + model.b
+def _row_weights(batch: LabeledSet, weights) -> np.ndarray:
+    """One weight per row: given as an array, or looked up by id in a mapping."""
+    if isinstance(weights, np.ndarray):
+        return weights
+    try:
+        return np.array([weights[sample_id] for sample_id in batch.ids], dtype=np.float64)
+    except KeyError as exc:
+        raise IdSetMismatchError(f"no weight for sample id {exc.args[0]!r}") from exc
+
+
+def weighted_ce_loss(model: SoftmaxModel, batch: LabeledSet, weights) -> float:
+    """(1/N) sum_i w_i * (-ln p_i[label_i]) with a max-subtracted softmax.
+
+    `weights` maps each id to its weight, or is an array with one weight
+    per row of `batch`.
+    """
+    return grad_weighted_ce(model, batch, weights, with_loss=True)[2]
+
+
+def grad_weighted_ce(model: SoftmaxModel, batch: LabeledSet, weights, *, with_loss: bool = False):
+    """Analytic gradient (g_W, g_b) of weighted_ce_loss w.r.t. (W, b).
+
+    with_loss=True returns (g_W, g_b, loss): the loss and the gradient
+    share one forward pass.
+    """
+    w = _row_weights(batch, weights)
+    logits = batch.features @ model.W.T + model.b
     if not np.all(np.isfinite(logits)):
         raise DivergenceError("non-finite logits")
     logits -= logits.max(axis=1, keepdims=True)
     expz = np.exp(logits)
-    return expz / expz.sum(axis=1, keepdims=True)
-
-
-def _batch_arrays(batch: LabeledSet, weights: dict[str, float]):
-    features = np.asarray([s.features for s in batch.samples], dtype=np.float64)
-    labels = np.asarray([s.label for s in batch.samples], dtype=np.intp)
-    try:
-        w = np.asarray([weights[s.id] for s in batch.samples], dtype=np.float64)
-    except KeyError as exc:
-        raise IdSetMismatchError(f"no weight for sample id {exc.args[0]!r}") from exc
-    return features, labels, w
-
-
-def weighted_ce_loss(model: SoftmaxModel, batch: LabeledSet, weights: dict[str, float]) -> float:
-    """(1/N) sum_i w_i * (-ln p_i[label_i]) with a max-subtracted softmax."""
-    features, labels, w = _batch_arrays(batch, weights)
-    logits = features @ model.W.T + model.b
-    if not np.all(np.isfinite(logits)):
-        raise DivergenceError("non-finite logits")
+    sums = expz.sum(axis=1, keepdims=True)
+    rows = np.arange(len(w))
+    p = expz / sums
+    p[rows, batch.labels] -= 1.0
+    scaled = p * w[:, None] / len(w)
+    grads = (scaled.T @ batch.features, scaled.sum(axis=0))
+    if not with_loss:
+        return grads
     # log-softmax keeps the loss finite where the picked probability
     # underflows (logit gap past ~745)
-    logits -= logits.max(axis=1, keepdims=True)
-    logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    picked = logp[np.arange(len(labels)), labels]
-    return float(np.mean(w * -picked))
-
-
-def grad_weighted_ce(model: SoftmaxModel, batch: LabeledSet, weights: dict[str, float]):
-    """Analytic gradient of weighted_ce_loss w.r.t. (W, b)."""
-    features, labels, w = _batch_arrays(batch, weights)
-    p = _probabilities(model, features)
-    p[np.arange(len(labels)), labels] -= 1.0
-    scaled = p * w[:, None] / len(labels)
-    return scaled.T @ features, scaled.sum(axis=0)
+    picked = logits[rows, batch.labels] - np.log(sums)[:, 0]
+    return (*grads, float(np.mean(w * -picked)))
 
 
 def predict_labels(model: SoftmaxModel, data: LabeledSet) -> list[int]:
-    features = np.asarray([s.features for s in data.samples], dtype=np.float64)
-    logits = features @ model.W.T + model.b
-    return [int(i) for i in np.argmax(logits, axis=1)]
+    logits = data.features @ model.W.T + model.b
+    return np.argmax(logits, axis=1).tolist()
 
 
 def accuracy(model: SoftmaxModel, data: LabeledSet) -> float:
-    predicted = predict_labels(model, data)
-    hits = sum(1 for p, s in zip(predicted, data.samples) if p == s.label)
-    return hits / len(data.samples)
+    hits = np.count_nonzero(np.asarray(predict_labels(model, data)) == data.labels)
+    return int(hits) / len(data.ids)
 
 
 def train(model: SoftmaxModel, data: LabeledSet, plan: CurriculumPlan,
@@ -135,58 +173,69 @@ def train(model: SoftmaxModel, data: LabeledSet, plan: CurriculumPlan,
           holdout: LabeledSet | None = None) -> TrainReport:
     """SGD in plan order; mutates `model` in place.
 
-    The per-epoch loss is the sample-weighted mean of batch losses as each
-    batch is visited. final_accuracy is measured on `holdout` when given,
-    otherwise on the training data.
+    The samples and their weights are put in plan order once; each batch
+    is a slice of them. The per-epoch loss is the sample-weighted mean of
+    batch losses as each batch is visited. final_accuracy is measured on
+    `holdout` when given, otherwise on the training data.
     """
-    by_id = data.by_id()
-    if set(plan.order) != set(by_id):
+    row_of = {sample_id: row for row, sample_id in enumerate(data.ids)}
+    if set(plan.order) != set(row_of):
         raise IdSetMismatchError("plan ids and data ids differ")
-    if len(plan.order) != len(data.samples):
+    if len(plan.order) != len(data.ids):
         raise IdSetMismatchError("plan and data sizes differ")
-    ordered = [by_id[sample_id] for sample_id in plan.order]
-    n = len(ordered)
+    rows = np.array([row_of[sample_id] for sample_id in plan.order], dtype=np.intp)
+    ordered = LabeledSet(plan.order, data.features[rows], data.labels[rows])
+    w = _row_weights(ordered, weights)
+    n = len(rows)
     curve = []
     for _ in range(cfg.epochs):
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch = LabeledSet(samples=tuple(ordered[start : start + cfg.batch_size]))
-            loss = weighted_ce_loss(model, batch, weights)
-            g_w, g_b = grad_weighted_ce(model, batch, weights)
+            stop = start + cfg.batch_size
+            batch = LabeledSet(ordered.ids[start:stop], ordered.features[start:stop],
+                               ordered.labels[start:stop])
+            g_w, g_b, loss = grad_weighted_ce(model, batch, w[start:stop], with_loss=True)
             model.W -= cfg.lr * g_w
             model.b -= cfg.lr * g_b
-            epoch_loss += loss * len(batch.samples)
+            epoch_loss += loss * len(batch.ids)
         curve.append(epoch_loss / n)
-    return TrainReport(loss_curve=curve, final_accuracy=accuracy(model, holdout or data))
+    return TrainReport(loss_curve=curve,
+                       final_accuracy=accuracy(model, data if holdout is None else holdout))
 
 
 def load_labeled_set(path) -> LabeledSet:
-    samples: list[LabeledSample] = []
+    """Rows straight into one float64 matrix and one label array; no per-sample objects."""
+    ids: list[str] = []
     seen: set[str] = set()
+    features = array("d")
+    labels = array("q")
     dim = None
     for line_no, obj in _read_json_lines(path):
         sample_id = _require_str(obj, "id", path, line_no)
         if sample_id in seen:
             raise DuplicateIdError(f"{path}:{line_no}: duplicate id {sample_id!r}")
         seen.add(sample_id)
-        features = _require_vector(obj, "features", path, line_no)
+        vector = _require_vector(obj, "features", path, line_no)
         if dim is None:
-            dim = len(features)
-        elif len(features) != dim:
-            raise MalformedLineError(path, line_no, f"expected {dim} features, got {len(features)}")
+            dim = len(vector)
+        elif len(vector) != dim:
+            raise MalformedLineError(path, line_no, f"expected {dim} features, got {len(vector)}")
         label = _require(obj, "label", path, line_no)
-        if isinstance(label, bool) or not isinstance(label, int) or label < 0:
+        if isinstance(label, bool) or not isinstance(label, int) or not 0 <= label < 2**63:
             raise MalformedLineError(path, line_no, "field 'label' must be a nonnegative integer")
-        samples.append(LabeledSample(sample_id, features, label))
-    if not samples:
+        ids.append(sample_id)
+        features.extend(vector)
+        labels.append(label)
+    if not ids:
         raise EmptyDomainError(f"{path}: no samples")
-    return LabeledSet(samples=tuple(samples))
+    return LabeledSet(ids, np.frombuffer(features, dtype=np.float64).reshape(len(ids), dim),
+                      np.frombuffer(labels, dtype=np.int64))
 
 
 def write_labeled_set(data: LabeledSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for s in data.samples:
-            fh.write(json.dumps({"id": s.id, "features": list(s.features), "label": s.label}) + "\n")
+        for sample_id, features, label in zip(data.ids, data.features.tolist(), data.labels.tolist()):
+            fh.write(json.dumps({"id": sample_id, "features": features, "label": label}) + "\n")
 
 
 def write_train_report(report: TrainReport, path) -> None:

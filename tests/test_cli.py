@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -766,6 +767,34 @@ class TestExitCodes:
     def test_histogram_without_inputs_exits_3(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", out=str(tmp_path / "empty"))
         assert main(["histogram", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("subcommand, keys", [
+        ("train", {"lr": "nan"}),
+        ("train", {"lr": "inf"}),
+        ("score-alignment", {"warmup_lr": "nan"}),
+        ("score-alignment", {"warmup_lr": "inf"}),
+        ("score-alignment", {"temperature": "nan", "warmup_epochs": 0}),
+    ], ids=["lr-nan", "lr-inf", "warmup_lr-nan", "warmup_lr-inf", "temperature-nan"])
+    def test_non_finite_rate_is_usage(self, tmp_path, capsys, subcommand, keys):
+        plan = [{"kind": "difficulty-ascending", "seed": 0, "M": 1}] + [
+            {"position": i, "id": sid, "tier": 0, "fused_key": i}
+            for i, sid in enumerate(sorted(IR_VECTORS))
+        ]
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            paired_embeddings=paired_file(tmp_path),
+            labels=labels_file(tmp_path),
+            plan=write_lines(tmp_path / "plan.jsonl", plan),
+            out=str(out),
+            seed=3,
+            **{"lr": 0.1, "epochs": 1, **keys},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would fail the run
+            assert main([subcommand, "--config", cfg]) == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_bad_retain_rate_is_usage(self, tmp_path):
         out = tmp_path / "out"

@@ -29,6 +29,7 @@ KEPT = {
     "pairgen.load_qa_records": "test oracle: round-trip reader of qa.jsonl",
     "pairgen.load_captions": "test oracle: round-trip reader of captions.jsonl",
     "bench_eval.load_report": "test oracle: round-trip reader of report.json",
+    "trainer.weighted_ce_loss": "check 5 loss oracle: the loss its central differences differentiate",
 }
 
 

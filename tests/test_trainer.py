@@ -1,16 +1,24 @@
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ircur.errors import DivergenceError, IdSetMismatchError, MalformedLineError
+from ircur.errors import (
+    DivergenceError,
+    DuplicateIdError,
+    IdSetMismatchError,
+    MalformedLineError,
+)
 from ircur.curriculum import build_schedule, fuse_rankings, partition_tiers
 from ircur.trainer import (
     LabeledSample,
     LabeledSet,
     SoftmaxModel,
     TrainConfig,
+    TrainReport,
     accuracy,
     grad_weighted_ce,
     init_softmax_model,
@@ -217,6 +225,174 @@ class TestTrain:
         cfg = TrainConfig(lr=0.1, epochs=5, batch_size=8, seed=0)
         report = train(init_softmax_model(3, 3, seed=9), data, plan, ones_weights(data), cfg, holdout=holdout)
         assert 0.0 <= report.final_accuracy <= 1.0
+
+
+# The per-batch loop as it stood when samples were tuples of floats, kept
+# verbatim (its helpers renamed) as the oracle for the array-slice trainer:
+# each batch is rebuilt from records, and the loss and the gradient each
+# run their own forward pass.
+def _reference_batch_arrays(batch, weights):
+    features = np.asarray([s.features for s in batch.samples], dtype=np.float64)
+    labels = np.asarray([s.label for s in batch.samples], dtype=np.intp)
+    w = np.asarray([weights[s.id] for s in batch.samples], dtype=np.float64)
+    return features, labels, w
+
+
+def _reference_loss(model, batch, weights):
+    features, labels, w = _reference_batch_arrays(batch, weights)
+    logits = features @ model.W.T + model.b
+    logits -= logits.max(axis=1, keepdims=True)
+    logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    picked = logp[np.arange(len(labels)), labels]
+    return float(np.mean(w * -picked))
+
+
+def _reference_grad(model, batch, weights):
+    features, labels, w = _reference_batch_arrays(batch, weights)
+    logits = features @ model.W.T + model.b
+    logits -= logits.max(axis=1, keepdims=True)
+    expz = np.exp(logits)
+    p = expz / expz.sum(axis=1, keepdims=True)
+    p[np.arange(len(labels)), labels] -= 1.0
+    scaled = p * w[:, None] / len(labels)
+    return scaled.T @ features, scaled.sum(axis=0)
+
+
+def _reference_accuracy(model, data):
+    features = np.asarray([s.features for s in data.samples], dtype=np.float64)
+    predicted = [int(i) for i in np.argmax(features @ model.W.T + model.b, axis=1)]
+    hits = sum(1 for p, s in zip(predicted, data.samples) if p == s.label)
+    return hits / len(data.samples)
+
+
+def reference_train(model, data, plan, weights, cfg, holdout=None):
+    by_id = {s.id: s for s in data.samples}
+    ordered = [by_id[sample_id] for sample_id in plan.order]
+    n = len(ordered)
+    curve = []
+    for _ in range(cfg.epochs):
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = LabeledSet(samples=tuple(ordered[start : start + cfg.batch_size]))
+            loss = _reference_loss(model, batch, weights)
+            g_w, g_b = _reference_grad(model, batch, weights)
+            model.W -= cfg.lr * g_w
+            model.b -= cfg.lr * g_b
+            epoch_loss += loss * len(batch.samples)
+        curve.append(epoch_loss / n)
+    return TrainReport(loss_curve=curve, final_accuracy=_reference_accuracy(model, holdout or data))
+
+
+class TestArraySliceTrainer:
+    """train() on plan-ordered array slices against the per-batch record loop, bit for bit."""
+
+    @pytest.mark.parametrize("n, batch_size, with_holdout", [
+        (203, 16, False),
+        (203, 16, True),
+        (97, 32, True),
+        (64, 64, False),
+    ])
+    def test_bit_identical_to_reference_loop(self, n, batch_size, with_holdout):
+        rng = np.random.default_rng(n + batch_size)
+        data = TestTrain().make_data(n=n, dim=5, n_classes=4, seed=n)
+        holdout = TestTrain().make_data(n=41, dim=5, n_classes=4, seed=n + 1) if with_holdout else None
+        weights = {sample_id: float(rng.uniform(0.2, 1.8)) for sample_id in data.ids}
+        plan = toy_plan(data.ids, kind="ascending-stratified-random", m=3, seed=5)
+        cfg = TrainConfig(lr=0.3, epochs=3, batch_size=batch_size, seed=0)
+        model = init_softmax_model(4, 5, seed=8)
+        expected_model = init_softmax_model(4, 5, seed=8)
+        report = train(model, data, plan, weights, cfg, holdout=holdout)
+        expected = reference_train(expected_model, data, plan, weights, cfg, holdout=holdout)
+        assert report.loss_curve == expected.loss_curve
+        assert report.final_accuracy == expected.final_accuracy
+        assert np.array_equal(model.W, expected_model.W)
+        assert np.array_equal(model.b, expected_model.b)
+
+    def test_batch_gradient_carries_its_loss(self):
+        data = TestTrain().make_data(n=9)
+        weights = {sample_id: 0.5 + i for i, sample_id in enumerate(data.ids)}
+        model = init_softmax_model(3, 3, seed=2)
+        g_w, g_b, loss = grad_weighted_ce(model, data, weights, with_loss=True)
+        assert loss == weighted_ce_loss(model, data, weights)
+        assert loss == _reference_loss(model, data, weights)
+        ref_w, ref_b = _reference_grad(model, data, weights)
+        assert np.array_equal(g_w, ref_w) and np.array_equal(g_b, ref_b)
+
+    def test_missing_weight_rejected_before_any_step(self):
+        data = TestTrain().make_data(n=8)
+        weights = dict.fromkeys(data.ids[:-1], 1.0)
+        model = init_softmax_model(3, 3, seed=1)
+        w_before = model.W.copy()
+        with pytest.raises(IdSetMismatchError, match="no weight"):
+            train(model, data, toy_plan(data.ids), weights,
+                  TrainConfig(lr=0.1, epochs=1, batch_size=4, seed=0))
+        assert np.array_equal(model.W, w_before)
+
+
+class TestLabeledSetArrays:
+    def rows(self):
+        return [("a", [1.0, -2.5], 1), ("b", [0.25, 3.0], 0), ("c", [-1.0, 0.0], 2)]
+
+    def test_loaded_set_equals_one_built_from_samples(self, tmp_path):
+        path = tmp_path / "set.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": i, "features": f, "label": l}) + "\n" for i, f, l in self.rows()
+        ))
+        loaded = load_labeled_set(path)
+        built = labeled(self.rows())
+        assert loaded == built
+        assert loaded.ids == ("a", "b", "c")
+        assert loaded.features.dtype == np.float64 and loaded.features.shape == (3, 2)
+        assert loaded.labels.dtype == np.intp
+        assert loaded.samples == built.samples
+
+    def test_matrices_read_only(self, tmp_path):
+        path = tmp_path / "set.jsonl"
+        write_labeled_set(labeled(self.rows()), path)
+        for data in (load_labeled_set(path), labeled(self.rows())):
+            assert not data.features.flags.writeable
+            assert not data.labels.flags.writeable
+            with pytest.raises(ValueError):
+                data.features[0, 0] = 9.0
+
+    def test_caller_arrays_stay_writeable(self):
+        features = np.zeros((2, 3))
+        data = LabeledSet(("a", "b"), features, np.array([0, 1]))
+        assert features.flags.writeable
+        assert not data.features.flags.writeable
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "set.jsonl"
+        row = json.dumps({"id": "a", "features": [1.0], "label": 0}) + "\n"
+        path.write_text(row + row)
+        with pytest.raises(DuplicateIdError):
+            load_labeled_set(path)
+
+    def test_label_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "set.jsonl"
+        path.write_text(json.dumps({"id": "a", "features": [1.0], "label": 2**63}) + "\n")
+        with pytest.raises(MalformedLineError):
+            load_labeled_set(path)
+
+    def test_load_peak_memory_bounded_by_the_matrix(self, tmp_path):
+        # Per-sample records cost about 400 bytes a row (a dataclass, a tuple
+        # and eight float objects) and peaked above 4x the final arrays.
+        n, dim = 5000, 8
+        rng = np.random.default_rng(0)
+        ids = tuple(f"s{i:05d}" for i in range(n))
+        path = tmp_path / "set.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for sample_id, f, l in zip(ids, rng.normal(size=(n, dim)).tolist(),
+                                       rng.integers(0, 4, size=n).tolist()):
+                fh.write(json.dumps({"id": sample_id, "features": f, "label": l}) + "\n")
+        tracemalloc.start()
+        try:
+            load_labeled_set(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        final = n * dim * 8 + sys.getsizeof(ids) + sum(map(sys.getsizeof, ids))
+        assert peak < 3 * final
 
 
 class TestAccuracy:
